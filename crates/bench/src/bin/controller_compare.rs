@@ -1,25 +1,27 @@
-//! CTRL1 — control-law diversity, benchmarked head-to-head.
+//! CTRL1 — control laws head-to-head, plus the pool's re-dispatch policy
+//! under a retry storm.
 //!
 //! Two sweeps:
 //!
 //! * **scenario sweep** — every shipped scenario config
 //!   (`scenarios/*.json`: fig3, fig4, fault_recovery, secure_mixed_pool,
-//!   multi_tenant) is run once per [`ControllerKind`] (rules, aimd,
-//!   retry_budget, hedge), collecting contract violations, settle time
-//!   (first time the contract floor is reached), delivered throughput
-//!   and resource cost in worker-seconds;
+//!   multi_tenant) is run once per [`ControllerKind`] (rules, aimd),
+//!   collecting contract violations, settle time (first time the
+//!   contract floor is reached), delivered throughput and resource cost
+//!   in worker-seconds;
 //! * **chaos soak** — a wall-clock distributed pool whose four endpoints
-//!   *all* sit behind seeded delay-only [`ChaosProxy`]s, with an
-//!   aggressive soft task deadline. Without a brake, every delayed task
-//!   is speculatively re-dispatched each sweep and the duplicate traffic
-//!   slows the proxies further — the classic self-amplifying retry
-//!   storm. The soak measures re-dispatch amplification
-//!   `(dispatches / tasks)` per controller.
+//!   *all* sit behind seeded delay-only [`bskel_net::ChaosProxy`]s. No
+//!   manager runs: the soak is keyed by the pool's re-dispatch [`Policy`]
+//!   (an uncapped 15 ms deadline, the deadline under a retry budget, or
+//!   budgeted hedging). Without a brake, every delayed task is speculatively
+//!   re-dispatched each sweep and the duplicate traffic slows the proxies
+//!   further — the classic self-amplifying retry storm. The soak measures
+//!   re-dispatch amplification `(dispatches / tasks)` per policy.
 //!
 //! PASS requires: fig3 and fig4 settle (reach their contract floors)
 //! under **every** controller; every soak delivers its full doubled
-//! stream in order with loss-free accounting; the uncapped baseline's
-//! amplification exceeds 2× while `retry_budget` and `hedge` (both
+//! stream in order with loss-free accounting; the `uncapped` policy's
+//! amplification exceeds 2× while `budget` and `hedge` (both
 //! budget-braked) stay under 2×.
 //!
 //! Results go to `BENCH_controller_compare.json` at the workspace root,
@@ -57,9 +59,51 @@ struct SimRow {
     security_violations: u64,
 }
 
+/// The pool's re-dispatch policy under test in the chaos soak.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// A 15 ms task deadline, re-dispatch uncapped: the seed of the storm.
+    Uncapped,
+    /// The same deadline under a retry budget.
+    Budget,
+    /// Hedging at the rolling median under the same retry budget.
+    Hedge,
+}
+
+impl Policy {
+    const ALL: [Policy; 3] = [Policy::Uncapped, Policy::Budget, Policy::Hedge];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Policy::Uncapped => "uncapped",
+            Policy::Budget => "budget",
+            Policy::Hedge => "hedge",
+        }
+    }
+
+    /// Soak seed: the values each pool configuration has always run on.
+    fn seed(self) -> u64 {
+        0xC0117
+            + match self {
+                Policy::Uncapped => 0,
+                Policy::Budget => 2,
+                Policy::Hedge => 3,
+            }
+    }
+
+    fn apply(self, b: RemotePoolBuilder<u64, u64>) -> RemotePoolBuilder<u64, u64> {
+        let deadline = Duration::from_millis(15);
+        match self {
+            Policy::Uncapped => b.task_deadline(deadline),
+            Policy::Budget => b.task_deadline(deadline).retry_budget(0.2, 5.0),
+            Policy::Hedge => b.hedge_quantile(0.5).retry_budget(0.2, 5.0),
+        }
+    }
+}
+
 /// One chaos-soak result row.
 struct SoakRow {
-    controller: ControllerKind,
+    policy: Policy,
     tasks: u64,
     retried: u64,
     hedges: u64,
@@ -77,12 +121,11 @@ fn scenario_path(name: &str) -> String {
 /// Loads a scenario config, pins the controller, and (in quick mode)
 /// shrinks the wall-clock multi-tenant run. Sim scenarios keep their
 /// full horizons — discrete-event seconds are nearly free.
-fn load_scenario(name: &str, controller: ControllerKind, quick: bool) -> ScenarioConfig {
+fn load_scenario(name: &str, law: ControllerKind, quick: bool) -> ScenarioConfig {
     let text = std::fs::read_to_string(scenario_path(name))
         .unwrap_or_else(|e| panic!("read scenarios/{name}.json: {e}"));
     let mut cfg = ScenarioConfig::from_json(&text)
         .unwrap_or_else(|e| panic!("parse scenarios/{name}.json: {e}"));
-    let law = Some(controller.as_str().to_owned());
     match &mut cfg {
         ScenarioConfig::Farm { controller, .. } | ScenarioConfig::Pipeline { controller, .. } => {
             *controller = law;
@@ -148,33 +191,22 @@ fn dec(b: &[u8]) -> u64 {
 }
 
 /// Four delay-only chaos proxies (one per slot — there is no clean
-/// escape hatch) with per-endpoint seeds derived from `seed`. Delay-only
-/// is deliberate: every frame arrives eventually, so even a zero-token
-/// budget cannot wedge the stream, and any amplification measured is
-/// pure re-dispatch policy, not loss recovery.
-fn soak_pool(
-    controller: ControllerKind,
-    seed: u64,
-    delay_ms: (u64, u64),
-) -> RemoteWorkerPool<u64, u64> {
-    let mut b = RemotePoolBuilder::new("double", enc, dec)
-        .name(format!("soak-{controller}"))
-        .initial_workers(4)
-        .max_workers(4)
-        .gather(GatherPolicy::Ordered)
-        .heartbeat_period(Duration::from_millis(250))
-        .failure_timeout(Duration::from_secs(60))
-        .resilience_seed(seed);
-    // The re-dispatch discipline under test. `rules` and `aimd` manage
-    // par-degree only — their pools re-dispatch uncapped, the seed of
-    // the storm. The budget laws brake the same deadline/hedge triggers.
-    b = match controller {
-        ControllerKind::Rules | ControllerKind::Aimd => b.task_deadline(Duration::from_millis(15)),
-        ControllerKind::RetryBudget => b
-            .task_deadline(Duration::from_millis(15))
-            .retry_budget(0.2, 5.0),
-        ControllerKind::Hedge => b.hedge_quantile(0.5).retry_budget(0.2, 5.0),
-    };
+/// escape hatch) with per-endpoint seeds derived from the policy's seed.
+/// Delay-only is deliberate: every frame arrives eventually, so even a
+/// zero-token budget cannot wedge the stream, and any amplification
+/// measured is pure re-dispatch policy, not loss recovery.
+fn soak_pool(policy: Policy, delay_ms: (u64, u64)) -> RemoteWorkerPool<u64, u64> {
+    let seed = policy.seed();
+    let mut b = policy.apply(
+        RemotePoolBuilder::new("double", enc, dec)
+            .name(format!("soak-{}", policy.as_str()))
+            .initial_workers(4)
+            .max_workers(4)
+            .gather(GatherPolicy::Ordered)
+            .heartbeat_period(Duration::from_millis(250))
+            .failure_timeout(Duration::from_secs(60))
+            .resilience_seed(seed),
+    );
     for i in 0..4u64 {
         let plan = ChaosPlan {
             seed: seed ^ (0x9E37_79B9 * (i + 1)),
@@ -190,8 +222,8 @@ fn soak_pool(
     b.build().expect("all four chaos endpoints reachable")
 }
 
-fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow {
-    let pool = soak_pool(controller, 0xC0117 + controller as u64, delay_ms);
+fn run_soak(policy: Policy, n: u64, delay_ms: (u64, u64)) -> SoakRow {
+    let pool = soak_pool(policy, delay_ms);
     let started = Instant::now();
     let tx = pool.input();
     let producer = std::thread::spawn(move || {
@@ -210,8 +242,10 @@ fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow
     producer.join().unwrap();
     let want: Vec<u64> = (0..n).map(|x| x * 2).collect();
     assert_eq!(
-        got, want,
-        "{controller}: soak lost, reordered or duplicated"
+        got,
+        want,
+        "{}: soak lost, reordered or duplicated",
+        policy.as_str()
     );
 
     let retried = pool.tasks_retried();
@@ -220,7 +254,7 @@ fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow
     let budget_tokens = pool.retry_budget_tokens();
     let report = pool.shutdown();
     SoakRow {
-        controller,
+        policy,
         tasks: n,
         retried,
         hedges,
@@ -238,16 +272,17 @@ fn run_soaks(quick: bool, journal: &Journal) -> Vec<SoakRow> {
     } else {
         (240, (150, 300))
     };
-    ControllerKind::all()
+    Policy::ALL
         .into_iter()
-        .map(|controller| {
-            let row = run_soak(controller, n, delay_ms);
+        .map(|policy| {
+            let row = run_soak(policy, n, delay_ms);
             journal.note(
                 0.0,
                 "ctrl1-soak",
                 &format!(
-                    "{controller}: amp {:.2}x ({} retried, {} hedges/{} wins), \
+                    "{}: amp {:.2}x ({} retried, {} hedges/{} wins), \
                      tokens {:?}, {:.1}s wall",
+                    policy.as_str(),
                     row.amplification,
                     row.retried,
                     row.hedges,
@@ -270,9 +305,11 @@ fn fmt_settle(s: Option<f64>) -> String {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     println!(
-        "CTRL1: control-law diversity — {} scenarios x {} controllers + chaos soak{}\n",
+        "CTRL1: control-law diversity — {} scenarios x {} controllers + chaos soak x {} \
+         pool policies{}\n",
         SCENARIOS.len(),
         ControllerKind::all().len(),
+        Policy::ALL.len(),
         if quick { " (--quick)" } else { "" },
     );
 
@@ -302,7 +339,7 @@ fn main() {
         .iter()
         .map(|r| {
             (
-                format!("soak/{}", r.controller),
+                format!("soak/{}", r.policy.as_str()),
                 format!(
                     "amp {:.2}x  retried {:>4}  hedges {:>3} ({} wins)  tokens {}  \
                      loss-free {}  {:.1}s",
@@ -330,16 +367,10 @@ fn main() {
         .filter(|r| matches!(r.scenario, "fig3" | "fig4"))
         .all(|r| r.settle.is_some());
     let secure_ok = sims.iter().all(|r| r.security_violations == 0);
-    let amp_of = |k: ControllerKind| {
-        soaks
-            .iter()
-            .find(|r| r.controller == k)
-            .expect("all controllers soaked")
-            .amplification
-    };
-    let storm_ok = amp_of(ControllerKind::Rules) > 2.0
-        && amp_of(ControllerKind::RetryBudget) < 2.0
-        && amp_of(ControllerKind::Hedge) < 2.0;
+    let storm_ok = soaks.iter().all(|r| match r.policy {
+        Policy::Uncapped => r.amplification > 2.0,
+        Policy::Budget | Policy::Hedge => r.amplification < 2.0,
+    });
     let loss_ok = soaks.iter().all(|r| r.loss_free);
     let pass = settles_ok && secure_ok && storm_ok && loss_ok;
 
@@ -390,10 +421,10 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"controller\": \"{}\", \"tasks\": {}, \"retried\": {}, \
+                "    {{\"policy\": \"{}\", \"tasks\": {}, \"retried\": {}, \
                  \"hedges\": {}, \"hedge_wins\": {}, \"amplification\": {:.4}, \
                  \"budget_tokens\": {}, \"loss_free\": {}, \"wall_s\": {:.2}}}",
-                r.controller.as_str(),
+                r.policy.as_str(),
                 r.tasks,
                 r.retried,
                 r.hedges,

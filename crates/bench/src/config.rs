@@ -6,6 +6,7 @@
 //! (rather than a Rust programmer) would touch.
 
 use bskel_core::contract::Contract;
+use bskel_core::ControllerKind;
 use bskel_sim::models::SecureMode;
 use bskel_sim::{FarmScenario, PipelineScenario, SslCostModel};
 use serde::{Deserialize, Serialize};
@@ -147,10 +148,11 @@ pub enum ScenarioConfig {
         /// Model-based initial setup.
         #[serde(default)]
         model_initial_setup: bool,
-        /// Control law for the farm manager
-        /// (`"rules" | "aimd" | "retry_budget" | "hedge"`; default rules).
+        /// Control law for the farm manager (`"rules" | "aimd"`; default
+        /// rules). A retired law name (`retry_budget`, `hedge`) fails the
+        /// parse with a pointer to the pool knob that replaced it.
         #[serde(default)]
-        controller: Option<String>,
+        controller: ControllerKind,
         /// RNG seed.
         #[serde(default = "default_seed")]
         seed: u64,
@@ -176,7 +178,7 @@ pub enum ScenarioConfig {
         horizon: f64,
         /// Control law for the farm-stage manager (default rules).
         #[serde(default)]
-        controller: Option<String>,
+        controller: ControllerKind,
         /// RNG seed.
         #[serde(default = "default_seed")]
         seed: u64,
@@ -204,7 +206,7 @@ pub enum ScenarioConfig {
         control_period: f64,
         /// Control law for the pool arbiter (default rules).
         #[serde(default)]
-        controller: Option<String>,
+        controller: ControllerKind,
         /// Seed for burst phase offsets.
         #[serde(default = "default_seed")]
         seed: u64,
@@ -257,15 +259,10 @@ fn count_violations(events: &[bskel_core::EventRecord]) -> u64 {
         .count() as u64
 }
 
-/// Parses an optional controller-name field; `None` means rules.
-fn parse_controller(c: &Option<String>) -> bskel_core::ControllerKind {
-    c.as_deref().map_or(bskel_core::ControllerKind::Rules, |s| {
-        s.parse().expect("valid controller name in scenario config")
-    })
-}
-
 impl ScenarioConfig {
-    /// Parses a config from JSON text.
+    /// Parses a config from JSON text. The control law is resolved here,
+    /// once: an unknown or retired law name is an `Err`, never a panic in
+    /// [`ScenarioConfig::run`].
     pub fn from_json(text: &str) -> Result<Self, String> {
         serde_json::from_str(text).map_err(|e| e.to_string())
     }
@@ -295,7 +292,7 @@ impl ScenarioConfig {
                     .initial_workers(initial_workers)
                     .contract(contract)
                     .horizon(horizon)
-                    .controller(parse_controller(&controller))
+                    .controller(controller)
                     .model_initial_setup(model_initial_setup);
                 if let Some((trusted, untrusted)) = nodes {
                     b = b.nodes(trusted, untrusted);
@@ -347,7 +344,7 @@ impl ScenarioConfig {
                     .add_batch(add_batch)
                     .count(count)
                     .horizon(horizon)
-                    .controller(parse_controller(&controller))
+                    .controller(controller)
                     .build()
                     .run(seed);
                 let lo = contract.throughput_bounds().map_or(0.0, |(lo, _)| lo);
@@ -382,7 +379,7 @@ impl ScenarioConfig {
                 max_workers,
                 duration,
                 control_period,
-                parse_controller(&controller),
+                controller,
                 seed,
             ),
         }
@@ -400,7 +397,7 @@ fn run_multi_tenant(
     max_workers: u32,
     duration: f64,
     control_period: f64,
-    controller: bskel_core::ControllerKind,
+    controller: ControllerKind,
     seed: u64,
 ) -> (RunReport, String) {
     use bskel_tenancy::{build_managers_with, TenantFrontEnd, TenantSpec};

@@ -25,6 +25,8 @@
 //! This library holds the shared text-rendering helpers: every binary
 //! prints the same kind of series/tables the paper's figures plot.
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod procfs;
 pub mod rulelint;

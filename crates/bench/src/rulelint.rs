@@ -17,12 +17,6 @@ use bskel_rules::analysis::{Analyzer, Diagnostic, Severity};
 use bskel_rules::{parse_rules_spanned, stdlib, ParamTable, RuleSet};
 use bskel_sim::sim_bean_schema;
 
-/// Resolves a scenario's optional controller name; an unknown name is a
-/// configuration error the lint must surface, not a panic.
-pub(crate) fn controller_of(c: &Option<String>) -> Result<ControllerKind, String> {
-    c.as_deref().map_or(Ok(ControllerKind::Rules), str::parse)
-}
-
 /// Lint results for one input file.
 #[derive(Debug)]
 pub struct FileReport {
@@ -107,7 +101,7 @@ pub fn lint_rules_text(path: &str, src: &str) -> FileReport {
 /// Lints the rule programs a scenario JSON implies, with the parameter
 /// tables its managers would derive from the configured contract.
 pub fn lint_scenario(path: &str, json: &str) -> FileReport {
-    let cfg: ScenarioConfig = match serde_json::from_str(json) {
+    let cfg = match ScenarioConfig::from_json(json) {
         Ok(c) => c,
         Err(e) => {
             return FileReport {
@@ -117,18 +111,6 @@ pub fn lint_scenario(path: &str, json: &str) -> FileReport {
             }
         }
     };
-    let controller = match &cfg {
-        ScenarioConfig::Farm { controller, .. }
-        | ScenarioConfig::Pipeline { controller, .. }
-        | ScenarioConfig::MultiTenant { controller, .. } => controller,
-    };
-    if let Err(e) = controller_of(controller) {
-        return FileReport {
-            path: path.to_string(),
-            parse_error: Some(format!("bad scenario config: {e}")),
-            diagnostics: Vec::new(),
-        };
-    }
     FileReport {
         path: path.to_string(),
         parse_error: None,
@@ -164,8 +146,7 @@ pub(crate) fn arbiter_params_for(max_workers: u32) -> ParamTable {
 /// Controller-aware: a manager whose configured control law runs **no**
 /// rule program (`aimd`) contributes nothing to lint — there is no
 /// program to analyze, and findings against a program that never loads
-/// would be noise. The budget-mirroring laws (`retry_budget`, `hedge`)
-/// wrap the standard programs and are linted exactly like `rules`.
+/// would be noise.
 pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
     let analyzer = Analyzer::new(sim_bean_schema());
     let mut out = Vec::new();
@@ -177,7 +158,7 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             controller,
             ..
         } => {
-            if controller_of(controller) == Ok(ControllerKind::Aimd) {
+            if *controller == ControllerKind::Aimd {
                 // The farm manager is the scenario's only manager, and
                 // AIMD loads no rules.
                 return out;
@@ -222,7 +203,7 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             // Only the farm stage honours the controller selection, so an
             // AIMD farm drops out of the lint while the coordinator and
             // producer programs stay checked.
-            let farm_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
+            let farm_is_ruled = *controller != ControllerKind::Aimd;
             let (floor, ceil) = Contract::output_rate(*initial_rate)
                 .output_rate_bounds()
                 .unwrap_or((0.0, f64::INFINITY));
@@ -273,7 +254,7 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             }
             // The arbiter runs the same program with its share pinned —
             // unless it was handed to the AIMD law, which takes no rules.
-            if controller_of(controller) != Ok(ControllerKind::Aimd) {
+            if *controller != ControllerKind::Aimd {
                 out.extend(analyzer.analyze(
                     &stdlib::tenancy_rules(),
                     Some(&arbiter_params_for(*max_workers)),
@@ -389,7 +370,7 @@ mod tests {
             ft_min_workers: None,
             migrate_min_gain: None,
             model_initial_setup: false,
-            controller: None,
+            controller: ControllerKind::Rules,
             seed: 1,
         };
         let diags = lint_scenario_config(&cfg);
@@ -448,7 +429,7 @@ mod tests {
             ft_min_workers: None,
             migrate_min_gain: None,
             model_initial_setup: false,
-            controller: Some("aimd".into()),
+            controller: ControllerKind::Aimd,
             seed: 1,
         };
         assert!(lint_scenario_config(&cfg).is_empty());
@@ -492,7 +473,7 @@ mod tests {
             ft_min_workers: Some(6),
             migrate_min_gain: None,
             model_initial_setup: false,
-            controller: None,
+            controller: ControllerKind::Rules,
             seed: 1,
         };
         let diags = lint_scenario_config(&cfg);

@@ -25,7 +25,7 @@
 //! and checks each loop with the deployment's actual thresholds.
 
 use crate::config::ScenarioConfig;
-use crate::rulelint::{arbiter_params_for, controller_of, farm_params_for, tenant_params_for};
+use crate::rulelint::{arbiter_params_for, farm_params_for, tenant_params_for};
 use bskel_core::contract::Contract;
 use bskel_core::ControllerKind;
 use bskel_rules::analysis::Severity;
@@ -313,7 +313,7 @@ fn farm_spec_for(contract: &Contract) -> Spec {
 
 /// Model-checks the control loops a scenario JSON implies.
 pub fn check_scenario(path: &str, json: &str) -> FileReport {
-    let cfg: ScenarioConfig = match serde_json::from_str(json) {
+    let cfg = match ScenarioConfig::from_json(json) {
         Ok(c) => c,
         Err(e) => {
             return FileReport {
@@ -323,18 +323,6 @@ pub fn check_scenario(path: &str, json: &str) -> FileReport {
             }
         }
     };
-    let controller = match &cfg {
-        ScenarioConfig::Farm { controller, .. }
-        | ScenarioConfig::Pipeline { controller, .. }
-        | ScenarioConfig::MultiTenant { controller, .. } => controller,
-    };
-    if let Err(e) = controller_of(controller) {
-        return FileReport {
-            path: path.to_string(),
-            parse_error: Some(format!("bad scenario config: {e}")),
-            checks: Vec::new(),
-        };
-    }
     FileReport {
         path: path.to_string(),
         parse_error: None,
@@ -346,9 +334,7 @@ pub fn check_scenario(path: &str, json: &str) -> FileReport {
 ///
 /// Controller-aware: a manager handed to the `aimd` law runs no rule
 /// program, so there is no rule × effect-table loop to model — its
-/// checks are skipped. The budget-mirroring laws (`retry_budget`,
-/// `hedge`) execute the standard programs unchanged and are checked
-/// exactly like `rules`.
+/// checks are skipped.
 pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
     let checker = ModelChecker::new(sim_bean_schema());
     let mut out = Vec::new();
@@ -360,7 +346,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             controller,
             ..
         } => {
-            if controller_of(controller) == Ok(ControllerKind::Aimd) {
+            if *controller == ControllerKind::Aimd {
                 // The farm manager is the scenario's only manager, and
                 // AIMD loads no rules.
                 return out;
@@ -407,7 +393,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
         } => {
             // Only the farm stage honours the controller selection; the
             // coordinator and producer loops stay rule-driven regardless.
-            let farm_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
+            let farm_is_ruled = *controller != ControllerKind::Aimd;
             // Leaf loops first: the producer under its own output-rate
             // contract, the farm stage under the application SLA.
             let (floor, ceil) = Contract::output_rate(*initial_rate)
@@ -498,7 +484,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             // An AIMD arbiter runs no rules, so there is no child+arbiter
             // rule composition to check — the per-tenant loops above
             // (always rule-driven) remain the checked surface.
-            let arbiter_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
+            let arbiter_is_ruled = *controller != ControllerKind::Aimd;
             if let Some(t) = demanding.filter(|_| arbiter_is_ruled) {
                 out.push(CheckOutcome {
                     program: format!("{}+arbiter", t.name),
@@ -710,17 +696,41 @@ mod tests {
         assert!(report.parse_error.is_none(), "{:?}", report.parse_error);
         let labels: Vec<&str> = report.checks.iter().map(|c| c.program.as_str()).collect();
         assert_eq!(labels, vec!["producer"]);
-        // A pure AIMD farm scenario has no checkable loop at all, while
-        // the budget laws keep the full rule surface.
+        // On fig3 the farm manager is the only loop: `rules` keeps its
+        // one checked program, a pure AIMD farm has nothing to check.
         let fig3 = std::fs::read_to_string("../../scenarios/fig3.json").expect("fig3");
-        for (law, programs) in [("aimd", 0), ("retry_budget", 1), ("hedge", 1)] {
-            let cfg = fig3.replacen('{', &format!("{{\n  \"controller\": \"{law}\","), 1);
-            let report = check_content("fig3.json", &cfg);
+        let with_law =
+            |law: &str| fig3.replacen('{', &format!("{{\n  \"controller\": \"{law}\","), 1);
+        for (law, programs) in [("rules", 1), ("aimd", 0)] {
+            let report = check_content("fig3.json", &with_law(law));
+            assert!(
+                report.parse_error.is_none(),
+                "{law}: {:?}",
+                report.parse_error
+            );
             assert_eq!(report.checks.len(), programs, "{law}");
         }
-        // And an unknown law is a configuration error, not a panic.
-        let bad = fig3.replacen('{', "{\n  \"controller\": \"pid\",", 1);
-        assert!(check_content("fig3.json", &bad).parse_error.is_some());
+        // Retired law names are pool policy now: a configuration error
+        // naming the pool knob, both here and for `run_scenario` (which
+        // parses through the same `ScenarioConfig::from_json`), never a
+        // panic. An unknown law is an error too.
+        for (law, knob) in [
+            ("retry_budget", "RemotePoolBuilder::retry_budget"),
+            ("budget", "RemotePoolBuilder::retry_budget"),
+            ("hedge", "RemotePoolBuilder::hedge_quantile"),
+            ("hedged", "RemotePoolBuilder::hedge_quantile"),
+        ] {
+            let cfg = with_law(law);
+            let err = check_content("fig3.json", &cfg)
+                .parse_error
+                .unwrap_or_else(|| panic!("{law} accepted as a control law"));
+            assert!(err.contains(knob), "{law}: {err}");
+            let err = ScenarioConfig::from_json(&cfg).expect_err(law);
+            assert!(err.contains(knob), "{law}: {err}");
+        }
+        assert!(check_content("fig3.json", &with_law("pid"))
+            .parse_error
+            .is_some());
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! ninelives roadmap (and the RL-skeleton line of work in PAPERS.md) treat
 //! the controller as a swappable policy instead. [`Controller`] is that
 //! seam: the manager's MAPE loop senses, builds working memory, and hands
-//! both to whatever law is plugged in — the rule engine, an AIMD
-//! congestion-control law, or a budget-mirroring wrapper — then interprets
-//! the returned [`OpCall`]s exactly as it always has. Policies stay
-//! substrate-agnostic: a controller only ever sees sensed beans and emits
-//! symbolic operations.
+//! both to whatever law is plugged in — the rule engine or an AIMD
+//! congestion-control law — then interprets the returned [`OpCall`]s
+//! exactly as it always has. Policies stay substrate-agnostic: a
+//! controller only ever sees sensed beans and emits symbolic operations.
 //!
-//! Three non-rule laws ship beside [`RuleController`]:
+//! One non-rule law ships beside [`RuleController`]:
 //!
 //! * [`AimdController`] — additive-increase/multiplicative-decrease of the
 //!   par-degree ceiling: contract pressure (backlogged delivery below the
@@ -19,35 +18,29 @@
 //!   (×0.75). The asymmetry is the classic congestion-control argument:
 //!   probing up is cheap, overshoot is expensive, and the multiplicative
 //!   backoff is what prevents synchronized grow/shrink oscillation.
-//! * [`BudgetedRuleController`] — the rule program for the manager's kind,
-//!   plus a mirror of the plant-side retry-budget token bucket
-//!   (`bskel_net`'s [`RetryBudget`]; ratio-of-successful-work deposits, a
-//!   min-tokens floor). The mirror exists for observability and replay: it
-//!   publishes `retryBudgetTokens` when the plant doesn't, and journals
-//!   `PAUSE_REDISPATCH`/`RESUME_REDISPATCH` transitions bracketing every
-//!   window in which re-dispatch was suppressed. Enforcement lives in the
-//!   plant (the reactor pool), never here — a controller that merely
-//!   *advises* cannot be bypassed by a stale snapshot.
+//!
+//! Retry budgets and hedged dispatch are not laws: they are policy of the
+//! plant that re-dispatches (`bskel_net`'s reactor pool, set with
+//! `RemotePoolBuilder::retry_budget` / `hedge_quantile`). The pool
+//! publishes its bucket as the `retryBudgetTokens` bean, which the
+//! manager journals every cycle like any other sensed value.
 
 use bskel_monitor::snapshot::beans;
 use bskel_monitor::SensorSnapshot;
-use bskel_rules::stdlib::{self, params, viol};
+use bskel_rules::stdlib::{params, viol};
 use bskel_rules::{op, OpCall, ParamTable, RuleEngine, RuleSet, WorkingMemory};
+use serde::{Deserialize, Serialize};
 
 /// Which control law a manager runs (wired through `ManagerConfig` and
-/// scenario JSON as `"rules" | "aimd" | "retry_budget" | "hedge"`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// scenario JSON as `"rules" | "aimd"`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case", try_from = "String")]
 pub enum ControllerKind {
     /// The rule engine over the kind's standard (or custom) program.
     #[default]
     Rules,
     /// AIMD par-degree control; no rule program.
     Aimd,
-    /// Rule program plus a retry-budget mirror (plant gates re-dispatch).
-    RetryBudget,
-    /// Rule program plus the budget mirror, with plant-side hedging
-    /// enabled (quantile-triggered duplicate dispatch).
-    Hedge,
 }
 
 impl ControllerKind {
@@ -56,19 +49,12 @@ impl ControllerKind {
         match self {
             ControllerKind::Rules => "rules",
             ControllerKind::Aimd => "aimd",
-            ControllerKind::RetryBudget => "retry_budget",
-            ControllerKind::Hedge => "hedge",
         }
     }
 
     /// Every shipped kind, in bench/table order.
-    pub fn all() -> [ControllerKind; 4] {
-        [
-            ControllerKind::Rules,
-            ControllerKind::Aimd,
-            ControllerKind::RetryBudget,
-            ControllerKind::Hedge,
-        ]
+    pub fn all() -> [ControllerKind; 2] {
+        [ControllerKind::Rules, ControllerKind::Aimd]
     }
 }
 
@@ -79,12 +65,26 @@ impl std::str::FromStr for ControllerKind {
         match s {
             "rules" => Ok(ControllerKind::Rules),
             "aimd" => Ok(ControllerKind::Aimd),
-            "retry_budget" | "retry-budget" | "budget" => Ok(ControllerKind::RetryBudget),
-            "hedge" | "hedged" => Ok(ControllerKind::Hedge),
+            "retry_budget" | "retry-budget" | "budget" => Err(format!(
+                "controller {s:?} is not a control law: the retry budget is pool \
+                 policy (RemotePoolBuilder::retry_budget); use rules|aimd"
+            )),
+            "hedge" | "hedged" => Err(format!(
+                "controller {s:?} is not a control law: hedging is pool policy \
+                 (RemotePoolBuilder::hedge_quantile); use rules|aimd"
+            )),
             other => Err(format!(
-                "unknown controller {other:?} (expected rules|aimd|retry_budget|hedge)"
+                "unknown controller {other:?} (expected rules|aimd)"
             )),
         }
+    }
+}
+
+impl TryFrom<String> for ControllerKind {
+    type Error = String;
+
+    fn try_from(s: String) -> Result<Self, Self::Error> {
+        s.parse()
     }
 }
 
@@ -102,7 +102,7 @@ impl std::fmt::Display for ControllerKind {
 /// [`Controller::rules`], which disables rule linting/model-checking for
 /// that manager — there is nothing to lint.
 pub trait Controller: Send {
-    /// Law name as journaled on every actuation (`rules`, `aimd`, …).
+    /// Law name as journaled on every actuation (`rules` or `aimd`).
     fn name(&self) -> &'static str;
 
     /// The rule program, when this law has one (lint/mc target).
@@ -132,13 +132,11 @@ pub trait Controller: Send {
 }
 
 /// Constructs the controller for a kind, over the given rule program
-/// (used by the rule-based laws; AIMD ignores it).
+/// (AIMD ignores it).
 pub fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn Controller> {
     match kind {
         ControllerKind::Rules => Box::new(RuleController::new(rules)),
         ControllerKind::Aimd => Box::new(AimdController::new()),
-        ControllerKind::RetryBudget => Box::new(BudgetedRuleController::new(rules, "retry_budget")),
-        ControllerKind::Hedge => Box::new(BudgetedRuleController::new(rules, "hedge")),
     }
 }
 
@@ -298,108 +296,10 @@ impl Controller for AimdController {
     }
 }
 
-/// Default deposit ratio of the manager-side budget mirror (tokens per
-/// unit of successful work) when the plant publishes no budget of its own.
-const MIRROR_RATIO: f64 = 0.2;
-/// Default floor of the mirror bucket (tokens held while idle).
-const MIRROR_MIN_TOKENS: f64 = 5.0;
-
-/// A rule program plus a mirror of the plant-side retry budget.
-///
-/// Scaling decisions come from the wrapped rule engine (so in scenarios
-/// without re-dispatch this law is benchmark-identical to `rules`, which
-/// the CTRL1 table makes explicit); the added value is the budget window:
-/// the mirror deposits `ratio × delivered work` per cycle, drains one
-/// token per observed re-dispatch (`Δ tasksRetried + Δ hedgesLaunched`),
-/// and fires a transition-only `PAUSE_REDISPATCH`/`RESUME_REDISPATCH`
-/// pair around every exhaustion window. Substrates treat the pair as a
-/// no-op (the plant bucket is authoritative); the journal gains an
-/// explicit, replayable record of *when* the storm brake held.
-pub struct BudgetedRuleController {
-    engine: RuleEngine,
-    law: &'static str,
-    tokens: f64,
-    last_at: Option<f64>,
-    last_redispatched: f64,
-    paused: bool,
-}
-
-impl BudgetedRuleController {
-    /// Wraps the rule program; `law` is the journaled name
-    /// (`retry_budget` or `hedge`).
-    pub fn new(rules: RuleSet, law: &'static str) -> Self {
-        Self {
-            engine: RuleEngine::new(rules),
-            law,
-            tokens: MIRROR_MIN_TOKENS,
-            last_at: None,
-            last_redispatched: 0.0,
-            paused: false,
-        }
-    }
-
-    /// Current mirror-bucket level.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-}
-
-impl Controller for BudgetedRuleController {
-    fn name(&self) -> &'static str {
-        self.law
-    }
-
-    fn rules(&self) -> Option<&RuleSet> {
-        Some(self.engine.rules())
-    }
-
-    fn set_rules(&mut self, rules: RuleSet) {
-        self.engine = RuleEngine::new(rules);
-    }
-
-    fn decide(
-        &mut self,
-        snap: &SensorSnapshot,
-        wm: &WorkingMemory,
-        params: &ParamTable,
-    ) -> Result<Vec<OpCall>, String> {
-        let mut ops = self
-            .engine
-            .cycle_ops(wm, params)
-            .map_err(|e| e.to_string())?;
-
-        if snap.retry_budget_tokens > 0.0 {
-            // Plant-published truth wins over the mirror.
-            self.tokens = snap.retry_budget_tokens;
-        } else {
-            let dt = self.last_at.map_or(0.0, |prev| (snap.at - prev).max(0.0));
-            let cap = (MIRROR_MIN_TOKENS * 10.0).max(10.0);
-            let deposit = MIRROR_RATIO * snap.departure_rate * dt;
-            let redispatched = snap.tasks_retried as f64 + snap.hedges_launched as f64;
-            let drain = (redispatched - self.last_redispatched).max(0.0);
-            self.last_redispatched = redispatched;
-            self.tokens = (self.tokens + deposit - drain).clamp(0.0, cap);
-        }
-        self.last_at = Some(snap.at);
-
-        if self.tokens < 1.0 && !self.paused {
-            self.paused = true;
-            ops.push(OpCall::new(stdlib::PAUSE_REDISPATCH_OP));
-        } else if self.tokens >= 1.0 && self.paused {
-            self.paused = false;
-            ops.push(OpCall::new(stdlib::RESUME_REDISPATCH_OP));
-        }
-        Ok(ops)
-    }
-
-    fn state_beans(&self) -> Vec<(&'static str, f64)> {
-        vec![(beans::RETRY_BUDGET_TOKENS, self.tokens)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bskel_rules::stdlib;
 
     fn snap_at(at: f64) -> SensorSnapshot {
         SensorSnapshot::empty(at)
@@ -415,6 +315,9 @@ mod tests {
             assert_eq!(kind.as_str().parse::<ControllerKind>().unwrap(), kind);
         }
         assert!("nonsense".parse::<ControllerKind>().is_err());
+        // Retired law names point at the pool knob that replaced them.
+        let err = "hedge".parse::<ControllerKind>().unwrap_err();
+        assert!(err.contains("RemotePoolBuilder::hedge_quantile"), "{err}");
     }
 
     #[test]
@@ -480,41 +383,5 @@ mod tests {
         snap.departure_rate = 6.0; // in contract: no AIMD move
         let ops = c.decide(&snap, &wm, &params).unwrap();
         assert!(ops.iter().any(|o| o.operation == op::ADD_EXECUTOR));
-    }
-
-    #[test]
-    fn budget_mirror_pauses_and_resumes_once_per_window() {
-        let mut c = BudgetedRuleController::new(RuleSet::new(), "retry_budget");
-        let params = ParamTable::new();
-        let wm = WorkingMemory::new();
-        // Drain the bucket: a retry storm with no successful work.
-        let mut snap = snap_at(1.0);
-        snap.tasks_retried = 50;
-        let ops = c.decide(&snap, &wm, &params).unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, stdlib::PAUSE_REDISPATCH_OP);
-        // Still exhausted: no duplicate PAUSE.
-        let mut snap = snap_at(2.0);
-        snap.tasks_retried = 55;
-        assert!(c.decide(&snap, &wm, &params).unwrap().is_empty());
-        // Successful work refills past one token → RESUME, exactly once.
-        let mut snap = snap_at(12.0);
-        snap.tasks_retried = 55;
-        snap.departure_rate = 2.0;
-        let ops = c.decide(&snap, &wm, &params).unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, stdlib::RESUME_REDISPATCH_OP);
-    }
-
-    #[test]
-    fn budget_mirror_defers_to_plant_published_tokens() {
-        let mut c = BudgetedRuleController::new(RuleSet::new(), "hedge");
-        let params = ParamTable::new();
-        let wm = WorkingMemory::new();
-        let mut snap = snap_at(1.0);
-        snap.retry_budget_tokens = 7.5;
-        c.decide(&snap, &wm, &params).unwrap();
-        assert!((c.tokens() - 7.5).abs() < 1e-9);
-        assert_eq!(c.state_beans(), vec![(beans::RETRY_BUDGET_TOKENS, 7.5)]);
     }
 }

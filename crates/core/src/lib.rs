@@ -48,8 +48,7 @@ pub use abc::{standard_schema, Abc, AbcError, ActuationOutcome, ManagerOp};
 pub use concern::Concern;
 pub use contract::Contract;
 pub use controller::{
-    build_controller, AimdController, BudgetedRuleController, Controller, ControllerKind,
-    RuleController,
+    build_controller, AimdController, Controller, ControllerKind, RuleController,
 };
 pub use events::{EventKind, EventLog, EventRecord};
 pub use manager::{

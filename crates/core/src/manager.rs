@@ -255,8 +255,8 @@ pub struct ManagerConfig {
     /// The control law this manager runs (see
     /// [`crate::controller::ControllerKind`]). Defaults to the rule
     /// engine; `Aimd` replaces the scaling rules with a congestion-control
-    /// law, `RetryBudget`/`Hedge` wrap the rule program with a
-    /// retry-budget mirror (plant-side enforcement in `bskel_net`).
+    /// law. Retry budgets and hedging are plant policy, not laws: the
+    /// reactor pool owns them and publishes `retryBudgetTokens`.
     pub controller: ControllerKind,
 }
 
@@ -724,17 +724,11 @@ impl AutonomicManager {
         }
 
         let mut snap = self.abc.sense(now);
-        // Controller-internal state (AIMD ceiling, budget-mirror tokens)
-        // rides the snapshot so both the journal and the working memory
-        // see it; plant-published budget tokens stay authoritative.
+        // Controller-internal state (the AIMD ceiling) rides the snapshot
+        // so both the journal and the working memory see it.
         for (name, v) in self.controller.state_beans() {
             match name {
                 bskel_monitor::snapshot::beans::AIMD_CEILING => snap.aimd_ceiling = v,
-                bskel_monitor::snapshot::beans::RETRY_BUDGET_TOKENS => {
-                    if snap.retry_budget_tokens == 0.0 {
-                        snap.retry_budget_tokens = v;
-                    }
-                }
                 _ => snap.extra.push((name.to_owned(), v)),
             }
         }

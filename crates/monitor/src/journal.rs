@@ -87,9 +87,8 @@ pub enum JournalEntry {
         /// The plant's response: `applied`, `noop`, `refused:<reason>`
         /// or `error:<message>`.
         outcome: String,
-        /// The control law that ordered the op (`rules`, `aimd`,
-        /// `retry_budget`, `hedge`). Journals written before this field
-        /// existed parse as `rules`.
+        /// The control law that ordered the op (`rules` or `aimd`).
+        /// Journals written before this field existed parse as `rules`.
         controller: String,
     },
 }

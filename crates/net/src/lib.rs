@@ -40,6 +40,8 @@
 //!   pooled frame buffers, a vectored-write send queue, a timer wheel.
 
 #![warn(missing_docs)]
+// `unsafe` is confined to the raw-syscall layer; everything else is safe.
+#![deny(unsafe_code)]
 
 pub mod chaos;
 pub mod daemon;
@@ -48,6 +50,7 @@ pub mod pool;
 pub mod proto;
 pub mod reactor;
 pub mod secure;
+#[allow(unsafe_code)]
 pub mod sys;
 pub mod wire;
 
@@ -58,8 +61,7 @@ pub use chaos::{
 pub use daemon::{serve, spawn_local, Workload};
 pub use metrics::{count_kinds, parse_exposition, Exposition, MetricsHub, MetricsServer, Sample};
 pub use pool::{
-    DecodeFn, EncodeFn, Endpoint, RemotePoolBuilder, RemoteWorkerPool, ResilienceConfig,
-    RetryBudgetConfig,
+    DecodeFn, EncodeFn, Endpoint, RemotePoolBuilder, RemoteWorkerPool, RetryBudgetConfig,
 };
 pub use proto::{
     encode_frame, Decoder, Frame, FrameType, FrameView, ProtoError, MAGIC, MAX_PAYLOAD, VERSION,

@@ -45,7 +45,7 @@
 //! resolves answers and runs the death path: once a connection is
 //! finished no result for a harvested task can ever be forwarded.
 //!
-//! **Resilience policies** (see [`ResilienceConfig`]) sit between the
+//! **Resilience policies** (set on [`RemotePoolBuilder`]) sit between the
 //! death/recovery machinery and the endpoints:
 //!
 //! * every endpoint carries a **circuit breaker** (Closed → Open →
@@ -56,7 +56,7 @@
 //!   longer backoff;
 //! * reconnect attempts back off exponentially with **decorrelated
 //!   jitter** (seeded, so schedules replay under a fixed
-//!   [`ResilienceConfig::seed`]);
+//!   [`RemotePoolBuilder::resilience_seed`]);
 //! * an optional **soft task deadline** speculatively re-executes
 //!   overdue in-flight tasks on a second slot. The speculation registry
 //!   resolves the race: the first copy home wins, every other copy's
@@ -104,10 +104,14 @@ const DISPATCH_BATCH: usize = 32;
 /// per wire batch; `SendQueue::write_to` then coalesces many chunks into
 /// one vectored syscall).
 const WIRE_BATCH: usize = 32;
-/// Default for [`ResilienceConfig::spec_sweep_limit`]: most overdue tasks
-/// one slot may speculate per deadline sweep, so a stalled slot with a
-/// deep in-flight map cannot flood the survivors.
+/// Most overdue tasks one slot may speculate per deadline sweep, so a
+/// stalled slot with a deep in-flight map cannot flood the survivors. The
+/// retry budget, when configured, is the binding brake at runtime.
 const SPEC_SWEEP_LIMIT: usize = 16;
+/// Endpoint failures inside the failure window (10× the breaker
+/// cooldown) that open the circuit. A failed Half-Open probe re-opens it
+/// regardless.
+const BREAKER_THRESHOLD: u32 = 3;
 /// Rolling enqueue-to-delivery latency samples kept for hedging.
 const LATENCY_WINDOW: usize = 512;
 /// Delivery samples required before the hedge quantile is trusted (a
@@ -172,43 +176,37 @@ impl Endpoint {
     }
 }
 
-/// Resilience policy knobs for a [`RemoteWorkerPool`]: reconnect backoff,
-/// per-endpoint circuit breaking and soft task deadlines.
+/// Resilience policy of a [`RemoteWorkerPool`]: reconnect backoff,
+/// per-endpoint circuit breaking, soft task deadlines, the retry budget
+/// and hedging. Set through the [`RemotePoolBuilder`] knobs.
 ///
 /// All durations are clamped (never panicking) into `[1ms, 1h]` when the
 /// pool is built; `reconnect_cap` is raised to at least `reconnect_base`.
 #[derive(Debug, Clone)]
-pub struct ResilienceConfig {
+pub(crate) struct ResilienceConfig {
     /// First reconnect backoff step after an endpoint failure.
-    pub reconnect_base: Duration,
+    reconnect_base: Duration,
     /// Upper bound the jittered backoff saturates at.
-    pub reconnect_cap: Duration,
-    /// Failures inside the window (10× the cooldown) that open the
-    /// circuit. A failed Half-Open probe re-opens it regardless.
-    pub breaker_threshold: u32,
+    reconnect_cap: Duration,
     /// Minimum quarantine before an Open circuit is offered a Half-Open
     /// probe (the actual wait is `max(backoff, cooldown)`).
-    pub breaker_cooldown: Duration,
+    breaker_cooldown: Duration,
     /// Soft per-task deadline: an in-flight task older than this is
     /// speculatively re-executed on a second slot. `None` disables
     /// speculation entirely (the default).
-    pub task_deadline: Option<Duration>,
-    /// Most overdue tasks one slot may re-dispatch per deadline sweep
-    /// (raised to ≥ 1 at build time). At runtime the retry budget, when
-    /// configured, supersedes this as the binding brake.
-    pub spec_sweep_limit: usize,
+    task_deadline: Option<Duration>,
     /// Token-bucket retry budget gating every re-dispatch path
     /// (speculation, hedges, reconnect retries after a failure). `None`
     /// (the default) leaves re-dispatch uncapped.
-    pub retry_budget: Option<RetryBudgetConfig>,
+    retry_budget: Option<RetryBudgetConfig>,
     /// Hedged dispatch: an in-flight task older than this rolling
     /// quantile of the enqueue-to-delivery latency distribution is
     /// duplicated onto a second slot (first result wins, via the
     /// speculation registry). `None` disables hedging (the default).
-    pub hedge_quantile: Option<f64>,
+    hedge_quantile: Option<f64>,
     /// Seed for the backoff jitter, so reconnect schedules replay
     /// exactly under a fixed seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 /// Finagle-style retry budget: every delivered result deposits `ratio`
@@ -247,10 +245,8 @@ impl Default for ResilienceConfig {
         Self {
             reconnect_base: Duration::from_millis(50),
             reconnect_cap: Duration::from_secs(2),
-            breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(500),
             task_deadline: None,
-            spec_sweep_limit: SPEC_SWEEP_LIMIT,
             retry_budget: None,
             hedge_quantile: None,
             seed: 0xB5E7,
@@ -263,10 +259,8 @@ impl ResilienceConfig {
     fn sanitize(mut self) -> Self {
         self.reconnect_base = clamp_duration(self.reconnect_base);
         self.reconnect_cap = clamp_duration(self.reconnect_cap).max(self.reconnect_base);
-        self.breaker_threshold = self.breaker_threshold.max(1);
         self.breaker_cooldown = clamp_duration(self.breaker_cooldown);
         self.task_deadline = self.task_deadline.map(clamp_duration);
-        self.spec_sweep_limit = self.spec_sweep_limit.max(1);
         self.retry_budget = self.retry_budget.map(RetryBudgetConfig::sanitize);
         self.hedge_quantile = self
             .hedge_quantile
@@ -333,7 +327,7 @@ impl Breaker {
             .saturating_mul(3)
             .max(lo + 1);
         self.backoff = Duration::from_millis(self.rng.range_u64(lo, hi)).min(cfg.reconnect_cap);
-        if self.state == BreakerState::HalfOpen || self.failures >= cfg.breaker_threshold {
+        if self.state == BreakerState::HalfOpen || self.failures >= BREAKER_THRESHOLD {
             self.state = BreakerState::Open;
             self.retry_at = now + self.backoff.max(cfg.breaker_cooldown);
         } else {
@@ -997,8 +991,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
     /// One deadline sweep: re-executes overdue in-flight tasks on a
     /// second slot. Needs at least two live slots (speculating back onto
     /// the only slot that already holds the task is pointless), and is a
-    /// no-op unless a [`ResilienceConfig::task_deadline`] or a hedge
-    /// quantile is configured.
+    /// no-op unless a task deadline or a hedge quantile is configured.
     ///
     /// With hedging on, the effective deadline is the rolling latency
     /// quantile (once enough deliveries have been observed): tasks in
@@ -1035,7 +1028,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
                 inflight
                     .iter()
                     .filter(|(_, e)| e.sent_at.elapsed() > deadline)
-                    .take(self.resilience.spec_sweep_limit)
+                    .take(SPEC_SWEEP_LIMIT)
                     .map(|(seq, e)| (*seq, e.item.clone()))
                     .collect()
             };
@@ -2306,24 +2299,11 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
         self
     }
 
-    /// Replaces the whole resilience policy (backoff, breaker, deadline).
-    pub fn resilience(mut self, cfg: ResilienceConfig) -> Self {
-        self.resilience = cfg;
-        self
-    }
-
     /// Reconnect backoff bounds: first step and saturation cap for the
     /// decorrelated-jitter schedule.
     pub fn reconnect_backoff(mut self, base: Duration, cap: Duration) -> Self {
         self.resilience.reconnect_base = base;
         self.resilience.reconnect_cap = cap;
-        self
-    }
-
-    /// Endpoint failures (within the failure window) that open the
-    /// circuit.
-    pub fn breaker_threshold(mut self, n: u32) -> Self {
-        self.resilience.breaker_threshold = n;
         self
     }
 
@@ -2344,13 +2324,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
     /// Seed for the reconnect-jitter RNG (deterministic replay).
     pub fn resilience_seed(mut self, seed: u64) -> Self {
         self.resilience.seed = seed;
-        self
-    }
-
-    /// Most overdue tasks one slot may re-dispatch per deadline sweep
-    /// (raised to ≥ 1 at build time).
-    pub fn spec_sweep_limit(mut self, n: usize) -> Self {
-        self.resilience.spec_sweep_limit = n;
         self
     }
 
@@ -2782,27 +2755,6 @@ impl<In, Out> Drop for RemoteWorkerPool<In, Out> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // -- resilience-policy configuration (the sweep cap is policy, not a
-    //    magic constant) ------------------------------------------------
-
-    #[test]
-    fn spec_sweep_limit_defaults_and_is_configurable() {
-        assert_eq!(ResilienceConfig::default().spec_sweep_limit, 16);
-        let cfg = ResilienceConfig {
-            spec_sweep_limit: 3,
-            ..ResilienceConfig::default()
-        }
-        .sanitize();
-        assert_eq!(cfg.spec_sweep_limit, 3);
-        // A zero cap would silently disable recovery; sanitize floors it.
-        let cfg = ResilienceConfig {
-            spec_sweep_limit: 0,
-            ..ResilienceConfig::default()
-        }
-        .sanitize();
-        assert_eq!(cfg.spec_sweep_limit, 1);
-    }
 
     #[test]
     fn budget_and_hedge_config_sanitize() {

@@ -317,7 +317,6 @@ fn disconnect_then_refused_reconnects_recover() {
         .heartbeat_period(Duration::from_millis(20))
         .failure_timeout(Duration::from_millis(300))
         .reconnect_backoff(Duration::from_millis(10), Duration::from_millis(80))
-        .breaker_threshold(3)
         .breaker_cooldown(Duration::from_millis(80))
         .endpoint(Endpoint::plain(proxy.addr().to_string()))
         .build()
@@ -398,7 +397,6 @@ fn breaker_quarantines_flapping_endpoint_and_probe_restores() {
         .heartbeat_period(Duration::from_millis(20))
         .failure_timeout(Duration::from_millis(300))
         .reconnect_backoff(Duration::from_millis(10), Duration::from_millis(100))
-        .breaker_threshold(3)
         .breaker_cooldown(Duration::from_millis(300))
         .endpoint(Endpoint::plain(proxy.addr().to_string()))
         .build()

@@ -12,14 +12,21 @@
 //!   rolling latency quantile;
 //! * **an exhausted retry budget suppresses hedging entirely** (the
 //!   always-empty `ratio: 0, min_tokens: 0` bucket) while the stream
-//!   still completes via the delayed originals.
+//!   still completes via the delayed originals;
+//! * **the journal carries the pool's own bucket**: a manager sensing
+//!   the pool journals `retryBudgetTokens` exactly as the pool holds it,
+//!   a drained bucket included.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use bskel_core::{AutonomicManager, Contract, EventLog, ManagerConfig};
+use bskel_monitor::{beans, Clock, Journal, JournalEntry, RealClock};
 use bskel_net::{
     spawn_chaos_local, spawn_local, ChaosPlan, ChaosPolicy, Endpoint, RemotePoolBuilder,
     RemoteWorkerPool,
 };
+use bskel_skel::abc_impl::FarmAbc;
 use bskel_skel::stream::StreamMsg;
 use bskel_skel::GatherPolicy;
 
@@ -148,5 +155,81 @@ fn exhausted_budget_suppresses_hedging() {
         Some(0.0),
         "the zero budget must stay empty"
     );
+    pool.shutdown();
+}
+
+/// Streams `n` tasks through a clean two-slot pool with the given retry
+/// budget while a `rules` manager senses it through `FarmAbc`, cycling
+/// before, after and once more past the stream. Returns the pool and
+/// the `retryBudgetTokens` value of every snapshot the manager journaled.
+fn journaled_budget(ratio: f64, min_tokens: f64, n: u64) -> (RemoteWorkerPool<u64, u64>, Vec<f64>) {
+    let clock: Arc<dyn Clock> = Arc::new(RealClock::new());
+    let daemon = spawn_local("127.0.0.1:0").expect("spawn daemon");
+    let pool = RemotePoolBuilder::new("double", enc, dec)
+        .name("budget-bean")
+        .initial_workers(2)
+        .max_workers(2)
+        .gather(GatherPolicy::Ordered)
+        .clock(Arc::clone(&clock))
+        .retry_budget(ratio, min_tokens)
+        .endpoint(Endpoint::plain(daemon.to_string()))
+        .build()
+        .expect("daemon reachable");
+
+    let journal = Journal::shared();
+    let log = EventLog::new();
+    log.attach_journal(Arc::clone(&journal));
+    let mut manager = AutonomicManager::new(
+        ManagerConfig::farm("AM_BUDGET"),
+        Box::new(FarmAbc::new(pool.control())),
+        log,
+    )
+    .with_rules(bskel_rules::stdlib::farm_rules());
+    manager.contract_slot().post(Contract::BestEffort);
+
+    manager.control_cycle(clock.now());
+    let want: Vec<u64> = (0..n).map(|x| x * 2).collect();
+    assert_eq!(run_stream(&pool, n), want);
+    manager.control_cycle(clock.now());
+    manager.control_cycle(clock.now());
+
+    let tokens = journal
+        .entries()
+        .into_iter()
+        .filter_map(|r| match r.entry {
+            JournalEntry::Snapshot {
+                source,
+                beans: values,
+                ..
+            } if source == "AM_BUDGET" => values
+                .into_iter()
+                .find(|(bean, _)| bean == beans::RETRY_BUDGET_TOKENS)
+                .map(|(_, v)| v),
+            _ => None,
+        })
+        .collect();
+    (pool, tokens)
+}
+
+#[test]
+fn journal_carries_the_drained_plant_budget() {
+    // A drained bucket is published as 0.0, and 0.0 is what the journal
+    // must record: nothing on the manager side may stand in for it.
+    let (pool, tokens) = journaled_budget(0.0, 0.0, 100);
+    assert_eq!(tokens.len(), 3, "one journaled snapshot per cycle");
+    assert!(tokens.iter().all(|&t| t == 0.0), "{tokens:?}");
+    assert_eq!(pool.retry_budget_tokens(), Some(0.0));
+    pool.shutdown();
+}
+
+#[test]
+fn journal_carries_the_live_plant_budget() {
+    // Every delivered result deposits 0.2 tokens onto the floor of 5, so
+    // the bucket ends well away from its starting level.
+    let (pool, tokens) = journaled_budget(0.2, 5.0, 100);
+    assert_eq!(tokens.len(), 3, "one journaled snapshot per cycle");
+    let last = *tokens.last().expect("journaled snapshots");
+    assert_eq!(Some(last), pool.retry_budget_tokens());
+    assert!(last > 5.0, "no deposits journaled: {tokens:?}");
     pool.shutdown();
 }

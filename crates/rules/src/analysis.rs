@@ -228,10 +228,6 @@ impl EffectTable {
             // Escalation is pure signalling: it moves no bean and no
             // actuator resource, by design rather than by omission.
             .inert(op::RAISE_VIOLATION)
-            // Budget transitions are advisory (the plant-side token bucket
-            // is authoritative); they journal a window, not an effect.
-            .inert(crate::stdlib::PAUSE_REDISPATCH_OP)
-            .inert(crate::stdlib::RESUME_REDISPATCH_OP)
     }
 
     /// Annotates an operation with a monotone effect on a sensed bean.

@@ -173,17 +173,6 @@ pub const SHRINK_SHARE_OP: &str = "SHRINK_SHARE";
 /// shed policy) until its queue is back inside the admission bound.
 pub const SHED_LOAD_OP: &str = "SHED_LOAD";
 
-/// Advisory actuation fired by budget-aware controllers when the retry
-/// budget is exhausted: substrates that gate re-dispatch locally treat it
-/// as a no-op (the plant-side token bucket is authoritative); it exists
-/// so the transition is journaled and replayable.
-pub const PAUSE_REDISPATCH_OP: &str = "PAUSE_REDISPATCH";
-
-/// Advisory actuation fired when the retry budget refills past one token
-/// after a [`PAUSE_REDISPATCH_OP`]; paired transitions bracket the window
-/// in which speculation/hedging was suppressed.
-pub const RESUME_REDISPATCH_OP: &str = "RESUME_REDISPATCH";
-
 /// The multi-tenant arbitration rule program (share grow/shrink, load
 /// shedding, pool growth on aggregate pressure, escalation at the share
 /// ceiling).

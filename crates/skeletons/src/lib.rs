@@ -31,6 +31,7 @@
 //! paths: reconfiguration, sensing, shutdown.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod abc_impl;
 pub mod farm;

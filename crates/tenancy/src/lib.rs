@@ -36,6 +36,8 @@
 //!
 //! [`Contract`]: bskel_core::Contract
 
+#![deny(unsafe_code)]
+
 pub mod abc;
 pub mod aimd;
 pub mod drr;
