@@ -12,6 +12,7 @@
 
 use crate::config::ScenarioConfig;
 use bskel_core::contract::Contract;
+use bskel_core::manager::ManagerConfig;
 use bskel_core::ControllerKind;
 use bskel_rules::analysis::{Analyzer, Diagnostic, Severity};
 use bskel_rules::{parse_rules_spanned, stdlib, ParamTable, RuleSet};
@@ -118,23 +119,6 @@ pub fn lint_scenario(path: &str, json: &str) -> FileReport {
     }
 }
 
-/// Default farm parameter derivation, mirroring
-/// `AutonomicManager::derive_kind_params` with the stock `ManagerConfig`
-/// knobs (`min_workers` 1, `max_workers` 64, `max_unbalance` 4.0).
-pub(crate) fn farm_params_for(contract: &Contract) -> ParamTable {
-    let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-    let (min_w, max_w) = contract.par_degree_bounds().unwrap_or((1, 64));
-    stdlib::farm_params(lo, hi, min_w, max_w, 4.0)
-}
-
-/// Default tenant-manager parameter derivation, mirroring
-/// `AutonomicManager::derive_kind_params` for `ManagerKind::Tenant`
-/// (share bounds 0.05..0.8, shed budget 64).
-pub(crate) fn tenant_params_for(contract: &Contract, max_workers: u32) -> ParamTable {
-    let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-    stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, max_workers)
-}
-
 /// The pool arbiter's parameters: same program, share pinned to 1.0 so
 /// only the pool-growth, shed, and escalation guards stay live.
 pub(crate) fn arbiter_params_for(max_workers: u32) -> ParamTable {
@@ -166,7 +150,7 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             // The farm manager loads one merged program; the analysis of
             // the merge catches intra-set problems, and the per-concern
             // pairings catch TR-09-10-style contradictions.
-            let mut params = farm_params_for(contract);
+            let mut params = ManagerConfig::farm("farm").rule_params(contract);
             let mut merged = stdlib::farm_rules();
             let mut concerns: Vec<(&str, RuleSet)> = Vec::new();
             if let Some(ft) = ft_min_workers {
@@ -216,7 +200,11 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
                 ),
             ];
             if farm_is_ruled {
-                programs.push(("farm", stdlib::farm_rules(), farm_params_for(contract)));
+                programs.push((
+                    "farm",
+                    stdlib::farm_rules(),
+                    ManagerConfig::farm("farm").rule_params(contract),
+                ));
             }
             for (_, set, params) in &programs {
                 out.extend(analyzer.analyze(set, Some(params), None));
@@ -239,6 +227,10 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             controller,
             ..
         } => {
+            let tenant = ManagerConfig {
+                max_workers: *max_workers,
+                ..ManagerConfig::tenant("tenant")
+            };
             // One tenancy program per tenant, under the parameters its
             // manager derives from that tenant's own contract. There is
             // deliberately no cross-tenant conflict pass: GROW_SHARE /
@@ -248,7 +240,7 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             for t in tenants {
                 out.extend(analyzer.analyze(
                     &stdlib::tenancy_rules(),
-                    Some(&tenant_params_for(&t.contract, *max_workers)),
+                    Some(&tenant.rule_params(&t.contract)),
                     None,
                 ));
             }

@@ -25,8 +25,9 @@
 //! and checks each loop with the deployment's actual thresholds.
 
 use crate::config::ScenarioConfig;
-use crate::rulelint::{arbiter_params_for, farm_params_for, tenant_params_for};
+use crate::rulelint::arbiter_params_for;
 use bskel_core::contract::Contract;
+use bskel_core::manager::ManagerConfig;
 use bskel_core::ControllerKind;
 use bskel_rules::analysis::Severity;
 use bskel_rules::{
@@ -355,7 +356,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             // not the concerns in isolation — interaction bugs (an FT
             // floor fighting the performance ceiling) only exist in the
             // product.
-            let mut params = farm_params_for(contract);
+            let mut params = ManagerConfig::farm("farm").rule_params(contract);
             let mut merged = stdlib::farm_rules();
             let mut spec = farm_spec_for(contract);
             if let Some(ft) = ft_min_workers {
@@ -418,7 +419,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                 ),
             });
             if farm_is_ruled {
-                let farm_params = farm_params_for(contract);
+                let farm_params = ManagerConfig::farm("farm").rule_params(contract);
                 out.push(CheckOutcome {
                     program: "farm".to_string(),
                     result: checker.check(
@@ -453,6 +454,10 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             controller,
             ..
         } => {
+            let tenant = ManagerConfig {
+                max_workers: *max_workers,
+                ..ManagerConfig::tenant("tenant")
+            };
             // One loop per tenant, under the parameters its manager
             // derives from that tenant's own contract. Escalation keeps
             // discharging recovery even though an arbiter exists: pool
@@ -466,7 +471,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                     result: checker.check(
                         "tenancy",
                         &stdlib::tenancy_rules(),
-                        &tenant_params_for(&t.contract, *max_workers),
+                        &tenant.rule_params(&t.contract),
                         &tenant_spec_for(&t.contract, *max_workers),
                     ),
                 });
@@ -492,7 +497,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                         (
                             "tenant",
                             &stdlib::tenancy_rules(),
-                            &tenant_params_for(&t.contract, *max_workers),
+                            &tenant.rule_params(&t.contract),
                         ),
                         (
                             "arbiter",

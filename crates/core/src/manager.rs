@@ -307,6 +307,41 @@ impl ManagerConfig {
     pub fn tenant(name: &str) -> Self {
         Self::base(name, ManagerKind::Tenant)
     }
+
+    /// The rule parameters a manager of this kind derives from
+    /// `contract`, overlaid with [`ManagerConfig::extra_params`]. The one
+    /// derivation the manager and the offline analysers (lint, model
+    /// checker) share.
+    pub fn rule_params(&self, contract: &Contract) -> bskel_rules::ParamTable {
+        let mut params = match self.kind {
+            ManagerKind::Farm => {
+                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
+                let (min_w, max_w) = contract
+                    .par_degree_bounds()
+                    .unwrap_or((self.min_workers, self.max_workers));
+                stdlib::farm_params(lo, hi, min_w, max_w, self.max_unbalance)
+            }
+            ManagerKind::Producer => {
+                let (floor, ceil) = contract
+                    .output_rate_bounds()
+                    .or_else(|| contract.throughput_bounds())
+                    .unwrap_or((0.0, f64::INFINITY));
+                stdlib::producer_params(floor, ceil)
+            }
+            ManagerKind::Tenant => {
+                // Contract stripe → delivered-throughput thresholds; the
+                // share/admission knobs default conservatively and are
+                // tuned per tenant via `extra_params`.
+                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
+                stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, self.max_workers)
+            }
+            ManagerKind::Pipeline | ManagerKind::Sequential => bskel_rules::ParamTable::new(),
+        };
+        for (name, value) in &self.extra_params {
+            params.set(name.clone(), *value);
+        }
+        params
+    }
 }
 
 /// An autonomic manager bound to a computation through an ABC.
@@ -380,7 +415,7 @@ impl AutonomicManager {
             needs_initial_setup: false,
             last_snapshot: None,
         };
-        m.params = m.derive_params(&Contract::BestEffort);
+        m.params = m.cfg.rule_params(&Contract::BestEffort);
         m.lint_rules(None, 0.0)?;
         Ok(m)
     }
@@ -599,46 +634,10 @@ impl AutonomicManager {
         self.log.push(at, &self.cfg.name, kind, detail);
     }
 
-    /// Derives the rule parameters implied by a contract for this kind.
-    fn derive_params(&self, contract: &Contract) -> bskel_rules::ParamTable {
-        let mut params = self.derive_kind_params(contract);
-        for (name, value) in &self.cfg.extra_params {
-            params.set(name.clone(), *value);
-        }
-        params
-    }
-
-    fn derive_kind_params(&self, contract: &Contract) -> bskel_rules::ParamTable {
-        match self.cfg.kind {
-            ManagerKind::Farm => {
-                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-                let (min_w, max_w) = contract
-                    .par_degree_bounds()
-                    .unwrap_or((self.cfg.min_workers, self.cfg.max_workers));
-                stdlib::farm_params(lo, hi, min_w, max_w, self.cfg.max_unbalance)
-            }
-            ManagerKind::Producer => {
-                let (floor, ceil) = contract
-                    .output_rate_bounds()
-                    .or_else(|| contract.throughput_bounds())
-                    .unwrap_or((0.0, f64::INFINITY));
-                stdlib::producer_params(floor, ceil)
-            }
-            ManagerKind::Tenant => {
-                // Contract stripe → delivered-throughput thresholds; the
-                // share/admission knobs default conservatively and are
-                // tuned per tenant via `extra_params`.
-                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-                stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, self.cfg.max_workers)
-            }
-            ManagerKind::Pipeline | ManagerKind::Sequential => bskel_rules::ParamTable::new(),
-        }
-    }
-
     /// Adopts a new contract: recomputes rule parameters, propagates
     /// sub-contracts to children, (re-)enters active mode.
     fn adopt_contract(&mut self, contract: Contract, now: Time) {
-        self.params = self.derive_params(&contract);
+        self.params = self.cfg.rule_params(&contract);
         self.emit(now, EventKind::NewContract, Some(contract.to_string()));
         self.contract = contract;
         // Binding the contract's parameters makes cross-rule reasoning

@@ -18,12 +18,12 @@ use std::time::{Duration, Instant};
 use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
 use bskel_core::manager::{AutonomicManager, ManagerConfig};
-use bskel_monitor::RealClock;
+use bskel_monitor::{Clock, ManualClock, RealClock};
 use bskel_net::proto::{decode_hello, encode_hello_ack, FrameType, HelloAck};
 use bskel_net::wire::{FrameReader, FrameWriter};
 use bskel_net::{spawn_local, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
 use bskel_skel::abc_impl::FarmAbc;
-use bskel_skel::farm::FarmEventKind;
+use bskel_skel::farm::{FarmBuilder, FarmEventKind};
 use bskel_skel::runtime::ManagerDriver;
 use bskel_skel::stream::StreamMsg;
 use bskel_skel::GatherPolicy;
@@ -432,4 +432,52 @@ fn remote_panic_poisons_only_that_task() {
     let report = pool.shutdown();
     assert_eq!(report.worker_panics.len(), 1);
     assert_eq!(report.workers_lost, 0);
+}
+
+/// `departureRate` counts delivered results only, on both substrates: the
+/// same stream with one poisoned task reads the same rate through a
+/// threaded farm and through a loopback pool.
+#[test]
+fn poisoned_task_is_not_a_departure_on_either_substrate() {
+    let clock = Arc::new(ManualClock::new());
+    let farm = FarmBuilder::from_fn(|x: u64| {
+        assert!(x != 13, "poisoned task");
+        x
+    })
+    .initial_workers(2)
+    .gather(GatherPolicy::Ordered)
+    .clock(clock.clone())
+    .build();
+    let tx = farm.input();
+    for i in 0..100u64 {
+        tx.send(StreamMsg::item(i, i)).unwrap();
+    }
+    tx.send(StreamMsg::End).unwrap();
+    let delivered = farm
+        .output()
+        .iter()
+        .take_while(|m| !matches!(m, StreamMsg::End))
+        .count();
+    assert_eq!(delivered, 99);
+    let farm_rate = farm.control().sense(clock.now()).departure_rate;
+    farm.shutdown();
+
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let pool = RemotePoolBuilder::new("panic_on:13", enc, dec)
+        .name("poison-rate")
+        .initial_workers(2)
+        .max_workers(4)
+        .gather(GatherPolicy::Ordered)
+        .clock(clock.clone())
+        .heartbeat_period(Duration::from_millis(20))
+        .failure_timeout(Duration::from_millis(500))
+        .endpoint(Endpoint::plain(addr.to_string()))
+        .build()
+        .expect("daemon reachable");
+    assert_eq!(run_stream(&pool, 100).len(), 99);
+    let pool_rate = pool.control().sense(clock.now()).departure_rate;
+    pool.shutdown();
+
+    assert!(farm_rate > 0.0);
+    assert_eq!(farm_rate, pool_rate, "delivered results only, on both");
 }

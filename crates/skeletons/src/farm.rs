@@ -9,44 +9,32 @@
 //! queue) are deliberate: they make the paper's `queueVariance` bean and
 //! `BALANCE_LOAD` action meaningful.
 //!
-//! Concurrency design — the steady-state task path acquires **no mutex**:
+//! The emitter, the collector, dispatch, the actuators and the loss-free
+//! reconfiguration protocol are the [`crate::engine`], shared with the
+//! distributed pool. This module backs each engine slot with a worker
+//! thread and keeps what only threads need: the worker loop, panic
+//! capture, the fault-injection kill flag and the joins at shutdown.
 //!
-//! * the emitter reads the worker set through an RCU [`crate::rcu`]
-//!   handle (one atomic load per batch; reconfiguration *publishes* a new
-//!   table instead of mutating a locked one);
-//! * task hand-off is batched ([`crate::queue::WorkerQueue`]): the
-//!   emitter drains up to [`DISPATCH_BATCH`] inputs per wake-up and pays
-//!   one per-worker queue lock per batch, workers pop in batches
-//!   symmetrically and return results as one message per batch;
-//! * every sensor on the task path is lock-free: windowed rates are
-//!   [`AtomicRateEstimator`]s, per-worker service times are worker-owned
-//!   [`bskel_monitor::LocalStats`] published through seqlock
-//!   [`WelfordCell`]s and merged only at [`FarmControl::sense`] time.
-//!
-//! Locks remain on the cold paths only: reconfiguration (add/remove/
-//! rebalance, serialised by the membership mutex), sensing, shutdown.
-//!
-//! Loss-freedom across reconfiguration: `remove_workers` publishes the
-//! shrunken table *before* closing a victim queue, and a closed queue
-//! hands pushed batches back ([`crate::queue`]), so an emitter caught
-//! with a stale table re-reads (the generation necessarily changed) and
-//! re-dispatches onto surviving workers.
+//! The steady-state task path takes **no lock per task**: the emitter
+//! reads the worker set through an RCU [`crate::rcu`] handle, hand-off is
+//! batched ([`crate::queue::WorkerQueue`]; workers pop up to
+//! `WORKER_BATCH` tasks per wake-up and return results as one message per
+//! batch), and per-worker service times are worker-owned
+//! [`bskel_monitor::LocalStats`] published through seqlock
+//! [`WelfordCell`]s, merged only at [`FarmControl::sense`] time.
 
+use crate::engine::{panic_message, Engine, EngineConfig, Slot};
 use crate::queue::{Task, WorkerQueue};
-use crate::rcu::{Published, ReadHandle};
-use crate::stream::{ReorderBuffer, StreamMsg};
+use crate::stream::StreamMsg;
 use bskel_monitor::{
-    queue_variance, AtomicRateEstimator, Clock, Journal, LocalStats, RealClock, SensorSnapshot,
-    Time, Welford, WelfordCell,
+    Clock, Journal, LocalStats, RealClock, SensorSnapshot, Time, Welford, WelfordCell,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Most inputs the emitter drains (and thus dispatches) per wake-up.
-const DISPATCH_BATCH: usize = 32;
 /// Most tasks a worker pops (and results it groups) per wake-up.
 const WORKER_BATCH: usize = 32;
 
@@ -73,17 +61,6 @@ pub enum GatherPolicy {
 /// A worker thread's factory: called once per worker, on the worker's own
 /// thread, so per-worker state needs no synchronisation.
 pub type WorkerFactory<In, Out> = Arc<dyn Fn() -> Box<dyn FnMut(In) -> Out + Send> + Send + Sync>;
-
-enum CollectMsg<Out> {
-    /// One batch of results from a single worker wake-up.
-    Batch(Vec<(u64, Out)>),
-    /// A task was poisoned: its worker panicked while computing it. The
-    /// task is accounted for (no result will ever exist) so the End
-    /// accounting still converges.
-    Lost(u64),
-    /// Emitter saw `End` after dispatching this many tasks.
-    Total(u64),
-}
 
 /// What kind of fault the farm recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,180 +129,93 @@ impl ShutdownReport {
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".to_owned()
-    }
-}
-
-/// The dispatchable face of one worker: its queue plus its published
-/// service-time cell. What the RCU table holds.
+/// The dispatchable face of one worker thread: what the engine's table
+/// holds and what the thread itself works from.
 struct WorkerSlot<In> {
-    queue: Arc<WorkerQueue<In>>,
+    queue: WorkerQueue<In>,
     service: Arc<WelfordCell>,
-}
-
-// Manual impl: `derive(Clone)` would demand `In: Clone`, but only the
-// `Arc`s are cloned.
-impl<In> Clone for WorkerSlot<In> {
-    fn clone(&self) -> Self {
-        Self {
-            queue: Arc::clone(&self.queue),
-            service: Arc::clone(&self.service),
-        }
-    }
-}
-
-/// The immutable worker table a dispatch generation reads.
-type WorkerTable<In> = Vec<WorkerSlot<In>>;
-
-struct WorkerHandle<In> {
-    /// Stable identity: the death path uses it to tell "still a member"
-    /// (self-removal required) from "already removed by an actuator".
-    id: u64,
-    slot: WorkerSlot<In>,
     /// Fault-injection flag: set by `kill_workers`, observed between
     /// tasks — the thread dies abruptly from the farm's point of view.
-    kill: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
+    kill: AtomicBool,
+    /// The worker thread, taken by the join at teardown. Departed slots
+    /// stay in the engine's retired list, so their threads are reaped —
+    /// not discarded — too.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-struct FarmMetrics {
-    clock: Arc<dyn Clock>,
-    arrivals: AtomicRateEstimator,
-    departures: AtomicRateEstimator,
-    end_of_stream: AtomicBool,
-    reconfiguring: AtomicBool,
-    /// Sensors stay blacked out until this time (f64 bits): after a
-    /// reconfiguration the rate estimators hold no full window of fresh
-    /// data, and acting on them would make the manager oscillate (add a
-    /// worker, read a stale/empty window, add again, …).
-    blackout_until_bits: AtomicU64,
-    last_arrival_bits: AtomicU64, // f64 time bits
-    /// Cumulative workers lost to faults (panic or injected kill) — the
-    /// `workersLost` bean.
-    workers_lost: AtomicU64,
-}
+impl<In> Slot for WorkerSlot<In> {
+    type Item = In;
 
-impl FarmMetrics {
-    fn now(&self) -> Time {
-        self.clock.now()
+    fn queue(&self) -> &WorkerQueue<In> {
+        &self.queue
     }
 
-    fn set_blackout_until(&self, t: Time) {
-        self.blackout_until_bits
-            .store(t.to_bits(), Ordering::SeqCst);
+    fn load(&self) -> usize {
+        self.queue.len()
     }
 
-    fn in_blackout(&self, now: Time) -> bool {
-        now < f64::from_bits(self.blackout_until_bits.load(Ordering::SeqCst))
+    fn service(&self) -> Welford {
+        self.service.read()
     }
 }
+
+impl<In> WorkerSlot<In> {
+    /// Joins the worker thread, unless an earlier teardown already did.
+    fn join(&self) -> Option<std::thread::Result<()>> {
+        self.thread.lock().take().map(JoinHandle::join)
+    }
+}
+
+type FarmEngine<In, Out> = Engine<WorkerSlot<In>, Out>;
 
 struct Shared<In, Out> {
-    name: String,
-    /// Back-reference worker threads upgrade transiently on their death
-    /// path (panic caught or kill flag observed) to hand unprocessed
-    /// tasks back and deregister themselves.
-    self_ref: std::sync::Weak<Shared<In, Out>>,
-    metrics: FarmMetrics,
-    /// The RCU-published dispatch table: reconfigurations replace it
-    /// wholesale, the emitter reads it wait-free via a cached handle.
-    table: Arc<Published<WorkerTable<In>>>,
-    /// Membership (thread handles) and the reconfiguration serialisation
-    /// point. Never touched by the task path.
-    workers: Mutex<Vec<WorkerHandle<In>>>,
-    retired: Mutex<Vec<JoinHandle<()>>>,
-    /// Service cells of retired workers: their samples must keep counting
-    /// toward the farm-level service statistic.
-    retired_stats: Mutex<Vec<Arc<WelfordCell>>>,
-    /// Join handles of workers that died (panic or kill) rather than
-    /// retiring cooperatively; reaped — not discarded — at shutdown.
-    dead: Mutex<Vec<JoinHandle<()>>>,
-    /// Tasks stranded while no live worker exists; drained into the pool
-    /// by the next `add_workers`.
-    parked: Mutex<Vec<Task<In>>>,
-    /// Panic messages from workers, surfaced in the [`ShutdownReport`].
-    panics: Mutex<Vec<String>>,
-    /// Fault events ([`FarmEventKind::WorkerPanic`]/`WorkerLost`).
-    events: Mutex<Vec<FarmEvent>>,
-    /// Optional ops journal every fault event is mirrored into.
-    journal: Option<Arc<Journal>>,
-    /// Set at teardown: dispatch stops parking undeliverable tasks.
-    terminating: AtomicBool,
-    /// Monotonic source for [`WorkerHandle::id`].
-    next_worker_id: AtomicU64,
-    rr_cursor: AtomicUsize,
+    engine: Arc<FarmEngine<In, Out>>,
     factory: WorkerFactory<In, Out>,
-    results_tx: Sender<CollectMsg<Out>>,
-    max_workers: u32,
     reconfig_delay: f64,
-    rate_window: f64,
 }
 
 impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
-    /// Appends a fault event, mirroring it into the ops journal when one
-    /// is attached.
-    fn record_event(&self, event: FarmEvent) {
-        if let Some(j) = &self.journal {
-            j.farm_event(event.at, &self.name, event.kind.label(), &event.detail);
-        }
-        self.events.lock().push(event);
-    }
-
-    fn spawn_worker(&self) -> WorkerHandle<In> {
-        let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-        let queue = Arc::new(WorkerQueue::new());
-        let service = Arc::new(WelfordCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        let slot = WorkerSlot {
-            queue: Arc::clone(&queue),
-            service: Arc::clone(&service),
-        };
+    fn spawn_worker(&self) -> Arc<WorkerSlot<In>> {
+        let slot = Arc::new(WorkerSlot {
+            queue: WorkerQueue::new(),
+            service: Arc::new(WelfordCell::new()),
+            kill: AtomicBool::new(false),
+            thread: Mutex::new(None),
+        });
+        let worker = Arc::clone(&slot);
         let factory = Arc::clone(&self.factory);
-        let results = self.results_tx.clone();
-        let clock = Arc::clone(&self.metrics.clock);
-        let weak = self.self_ref.clone();
-        let kill_flag = Arc::clone(&kill);
-        let name = format!("{}-worker", self.name);
+        let engine = Arc::clone(&self.engine);
         let thread = std::thread::Builder::new()
-            .name(name)
+            .name(format!("{}-worker", engine.name()))
             .spawn(move || {
                 let mut work = factory();
-                let mut stats = LocalStats::new(service);
+                let mut stats = LocalStats::new(Arc::clone(&worker.service));
                 let mut batch: Vec<Task<In>> = Vec::with_capacity(WORKER_BATCH);
                 let mut out: Vec<(u64, Out)> = Vec::with_capacity(WORKER_BATCH);
-                while queue.pop_batch(WORKER_BATCH, &mut batch) {
+                while worker.queue.pop_batch(WORKER_BATCH, &mut batch) {
                     // Pop from the back of the reversed batch: FIFO order,
                     // with the unprocessed remainder still owned by `batch`
                     // should this thread die mid-batch.
                     batch.reverse();
                     while let Some(task) = batch.pop() {
-                        if kill_flag.load(Ordering::SeqCst) {
+                        if worker.kill.load(Ordering::SeqCst) {
                             // Injected fault: die abruptly, handing the
                             // current task and the remainder back intact.
                             batch.push(task);
                             batch.reverse();
                             if !out.is_empty() {
-                                let _ = results.send(CollectMsg::Batch(std::mem::take(&mut out)));
+                                engine.deliver(std::mem::take(&mut out));
                             }
-                            if let Some(shared) = weak.upgrade() {
-                                shared.on_worker_death(id, std::mem::take(&mut batch), None);
-                            }
+                            on_worker_death(&engine, &worker, batch, None);
                             return;
                         }
                         let seq = task.seq;
-                        let t0 = clock.now();
+                        let t0 = engine.now();
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             work(task.item)
                         })) {
                             Ok(result) => {
-                                stats.update(clock.now() - t0);
+                                stats.update(engine.now() - t0);
                                 out.push((seq, result));
                             }
                             Err(payload) => {
@@ -333,342 +223,46 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                                 // started is recovered. Flush finished
                                 // results first so nothing computed is lost.
                                 if !out.is_empty() {
-                                    let _ =
-                                        results.send(CollectMsg::Batch(std::mem::take(&mut out)));
+                                    engine.deliver(std::mem::take(&mut out));
                                 }
-                                let _ = results.send(CollectMsg::Lost(seq));
+                                engine.report_lost(seq);
                                 batch.reverse();
-                                if let Some(shared) = weak.upgrade() {
-                                    shared.on_worker_death(
-                                        id,
-                                        std::mem::take(&mut batch),
-                                        Some(panic_message(payload.as_ref())),
-                                    );
-                                }
+                                let msg = panic_message(payload.as_ref());
+                                on_worker_death(&engine, &worker, batch, Some(msg));
                                 return;
                             }
                         }
                     }
-                    if !out.is_empty()
-                        && results
-                            .send(CollectMsg::Batch(std::mem::take(&mut out)))
-                            .is_err()
-                    {
+                    if !out.is_empty() && !engine.deliver(std::mem::take(&mut out)) {
                         break; // collector gone: shutting down
                     }
                 }
             })
             .expect("spawn worker thread");
-        WorkerHandle {
-            id,
-            slot,
-            kill,
-            thread,
-        }
+        *slot.thread.lock() = Some(thread);
+        slot
     }
+}
 
-    /// A worker thread is dying (caught panic or observed kill flag):
-    /// deregister it if it is still a member — the kill path's actuator
-    /// has already removed it — and recover every unprocessed task it
-    /// held (in-flight remainder plus queued backlog).
-    fn on_worker_death(&self, id: u64, mut leftover: Vec<Task<In>>, panic_msg: Option<String>) {
-        let now = self.metrics.now();
-        let mut workers = self.workers.lock();
-        if let Some(pos) = workers.iter().position(|h| h.id == id) {
-            let victim = workers.remove(pos);
-            // Publish the shrunken table BEFORE closing the dead queue:
-            // a bounced emitter then observes a newer generation and
-            // re-dispatches onto survivors (loss-freedom invariant).
-            self.publish_table(&workers);
-            leftover.extend(victim.slot.queue.close());
-            self.retired_stats.lock().push(victim.slot.service);
-            self.dead.lock().push(victim.thread);
-            self.metrics.workers_lost.fetch_add(1, Ordering::SeqCst);
-            self.record_event(FarmEvent {
-                at: now,
-                kind: FarmEventKind::WorkerLost,
-                detail: panic_msg
-                    .clone()
-                    .unwrap_or_else(|| "worker died".to_owned()),
-            });
-        }
-        self.recover_tasks(&workers, leftover);
-        drop(workers);
-        if let Some(msg) = panic_msg {
-            self.record_event(FarmEvent {
-                at: now,
-                kind: FarmEventKind::WorkerPanic,
-                detail: msg.clone(),
-            });
-            self.panics.lock().push(msg);
-        }
+/// A worker thread is dying (caught panic or observed kill flag):
+/// deregister it if it is still a member — the kill path's actuator has
+/// already removed it — and recover every unprocessed task it held
+/// (in-flight remainder plus queued backlog).
+fn on_worker_death<In, Out>(
+    engine: &FarmEngine<In, Out>,
+    slot: &Arc<WorkerSlot<In>>,
+    leftover: Vec<Task<In>>,
+    panic_msg: Option<String>,
+) {
+    if engine.lose(slot, leftover).0 {
+        engine.record_loss(
+            panic_msg
+                .clone()
+                .unwrap_or_else(|| "worker died".to_owned()),
+        );
     }
-
-    /// Re-dispatches recovered tasks round-robin onto the survivors, or
-    /// parks them for the next `add_workers` when no live worker exists.
-    /// Caller holds the membership lock (`survivors` is its contents).
-    fn recover_tasks(&self, survivors: &[WorkerHandle<In>], tasks: Vec<Task<In>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if survivors.is_empty() {
-            if !self.terminating.load(Ordering::SeqCst) {
-                self.parked.lock().extend(tasks);
-            }
-            return;
-        }
-        for (i, task) in tasks.into_iter().enumerate() {
-            let target = &survivors[i % survivors.len()];
-            let mut one = vec![task];
-            let accepted = target.slot.queue.push_batch(&mut one);
-            debug_assert!(accepted, "survivor queues are open under the lock");
-        }
-    }
-
-    /// Fault injection: abruptly kills `n` workers. Unlike
-    /// [`Shared::remove_workers`] this models failure, not retirement —
-    /// the whole pool may die (tasks park until workers are added), the
-    /// loss is counted in the `workersLost` bean, and no sensor blackout
-    /// hides it from the manager.
-    fn kill_workers(&self, n: u32) -> Result<u32, String> {
-        let mut workers = self.workers.lock();
-        if (workers.len() as u32) < n {
-            return Err(format!("cannot kill {n} of {} workers", workers.len()));
-        }
-        let keep = workers.len() - n as usize;
-        let victims: Vec<WorkerHandle<In>> = workers.split_off(keep);
-        // Same publish-before-close ordering as removal/death.
-        self.publish_table(&workers);
-        let now = self.metrics.now();
-        let mut recovered: Vec<Task<In>> = Vec::new();
-        for victim in victims {
-            victim.kill.store(true, Ordering::SeqCst);
-            recovered.extend(victim.slot.queue.close());
-            self.retired_stats.lock().push(victim.slot.service);
-            self.dead.lock().push(victim.thread);
-            self.metrics.workers_lost.fetch_add(1, Ordering::SeqCst);
-            self.record_event(FarmEvent {
-                at: now,
-                kind: FarmEventKind::WorkerLost,
-                detail: "worker killed (fault injection)".to_owned(),
-            });
-        }
-        self.recover_tasks(&workers, recovered);
-        drop(workers);
-        Ok(n)
-    }
-
-    /// Re-derives and publishes the dispatch table from the membership
-    /// list. Caller holds the `workers` lock.
-    fn publish_table(&self, workers: &[WorkerHandle<In>]) {
-        self.table
-            .publish(workers.iter().map(|h| h.slot.clone()).collect());
-    }
-
-    fn add_workers(&self, n: u32) -> Result<u32, String> {
-        let current = self.workers.lock().len() as u32;
-        if current + n > self.max_workers {
-            return Err(format!(
-                "worker limit reached ({current}+{n} > {})",
-                self.max_workers
-            ));
-        }
-        self.metrics.reconfiguring.store(true, Ordering::SeqCst);
-        if self.reconfig_delay > 0.0 {
-            // Models node recruitment + component deployment latency; the
-            // manager observes `reconfiguring` and skips its cycles — the
-            // paper's Fig. 4 sensor blackout.
-            std::thread::sleep(std::time::Duration::from_secs_f64(self.reconfig_delay));
-        }
-        let mut workers = self.workers.lock();
-        for _ in 0..n {
-            workers.push(self.spawn_worker());
-        }
-        self.publish_table(&workers);
-        // Tasks stranded by a total-failure episode resume here.
-        let parked: Vec<Task<In>> = std::mem::take(&mut *self.parked.lock());
-        self.recover_tasks(&workers, parked);
-        drop(workers);
-        // Stale pre-reconfiguration windows would bias the next readings:
-        // reset the output estimator and keep the sensors blacked out until
-        // a full window of post-reconfiguration data exists.
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        self.metrics.reconfiguring.store(false, Ordering::SeqCst);
-        Ok(n)
-    }
-
-    fn remove_workers(&self, n: u32) -> Result<u32, String> {
-        let mut workers = self.workers.lock();
-        if workers.len() as u32 <= n {
-            return Err(format!(
-                "cannot remove {n} of {} workers (at least one must remain)",
-                workers.len()
-            ));
-        }
-        let victims: Vec<WorkerHandle<In>> = {
-            let keep = workers.len() - n as usize;
-            workers.split_off(keep)
-        };
-        // Publish the shrunken table BEFORE closing any victim queue:
-        // an emitter whose push then bounces off a closed queue is
-        // guaranteed to observe a newer generation and re-dispatch onto
-        // survivors — the loss-freedom invariant.
-        self.publish_table(&workers);
-        let mut removed = 0;
-        for victim in victims {
-            // Redistribute the victim's backlog to the survivors.
-            let mut stolen = victim.slot.queue.close();
-            for (i, task) in stolen.drain(..).enumerate() {
-                let target = &workers[i % workers.len()];
-                let mut one = vec![task];
-                let accepted = target.slot.queue.push_batch(&mut one);
-                debug_assert!(accepted, "survivor queues are open under the lock");
-            }
-            // Joining may block for up to one in-flight task's service
-            // time; retire instead and join at shutdown.
-            self.retired.lock().push(victim.thread);
-            self.retired_stats.lock().push(victim.slot.service);
-            removed += 1;
-        }
-        drop(workers);
-        // Same estimator-freshness argument as worker addition.
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        Ok(removed)
-    }
-
-    /// Evens queue lengths; returns true if any task moved.
-    fn rebalance(&self) -> bool {
-        let workers = self.workers.lock();
-        if workers.len() < 2 {
-            return false;
-        }
-        let lens: Vec<usize> = workers.iter().map(|w| w.slot.queue.len()).collect();
-        let max = *lens.iter().max().expect("non-empty");
-        let min = *lens.iter().min().expect("non-empty");
-        if max - min <= 1 {
-            return false;
-        }
-        // Drain everything, redistribute round-robin. Tasks keep their
-        // sequence tags, so ordered gathering is unaffected.
-        let mut all: Vec<Task<In>> = Vec::new();
-        for w in workers.iter() {
-            all.extend(w.slot.queue.drain_open());
-        }
-        let moved = !all.is_empty();
-        let share = all.len() / workers.len() + 1;
-        let mut per: Vec<Vec<Task<In>>> =
-            workers.iter().map(|_| Vec::with_capacity(share)).collect();
-        for (i, task) in all.into_iter().enumerate() {
-            per[i % workers.len()].push(task);
-        }
-        for (w, mut chunk) in workers.iter().zip(per) {
-            let accepted = w.slot.queue.push_batch(&mut chunk);
-            debug_assert!(accepted, "open under the membership lock");
-        }
-        moved
-    }
-
-    fn sense(&self, now: Time) -> SensorSnapshot {
-        let table = self.table.load();
-        let lens: Vec<u64> = table.iter().map(|s| s.queue.len() as u64).collect();
-        let mut snap = SensorSnapshot::empty(now);
-        snap.arrival_rate = self.metrics.arrivals.rate(now);
-        snap.departure_rate = self.metrics.departures.rate(now);
-        snap.num_workers = lens.len() as u32;
-        snap.queue_variance = queue_variance(&lens);
-        snap.queued_tasks = lens.iter().sum();
-        // Merge the per-worker seqlock cells (plus retired workers') into
-        // the farm-level service statistic — the snapshot-time fold that
-        // lets the per-task path stay lock-free.
-        let mut service = Welford::new();
-        for slot in table.iter() {
-            service.merge(&slot.service.read());
-        }
-        for cell in self.retired_stats.lock().iter() {
-            service.merge(&cell.read());
-        }
-        snap.service_time = service.mean();
-        snap.end_of_stream = self.metrics.end_of_stream.load(Ordering::SeqCst);
-        snap.workers_lost = self.metrics.workers_lost.load(Ordering::SeqCst);
-        snap.reconfiguring =
-            self.metrics.reconfiguring.load(Ordering::SeqCst) || self.metrics.in_blackout(now);
-        let bits = self.metrics.last_arrival_bits.load(Ordering::Relaxed);
-        if bits != 0 {
-            snap.idle_for = (now - f64::from_bits(bits)).max(0.0);
-        }
-        snap
-    }
-
-    /// Dispatches one drained input batch over the current worker table,
-    /// re-reading the table and re-dispatching any batch bounced off a
-    /// queue that closed under a stale table.
-    fn dispatch(
-        &self,
-        reader: &mut ReadHandle<WorkerTable<In>>,
-        sched: SchedPolicy,
-        items: &mut Vec<Task<In>>,
-    ) {
-        while !items.is_empty() {
-            let generation = self.table.generation();
-            let table = Arc::clone(reader.get());
-            if table.is_empty() {
-                if self.terminating.load(Ordering::SeqCst) {
-                    // Tearing down; parity with dropping a running farm.
-                    items.clear();
-                    return;
-                }
-                // Every worker died: park the batch for the next
-                // `add_workers` instead of losing it.
-                self.parked.lock().append(items);
-                if self.table.generation() == generation {
-                    return;
-                }
-                // A new table appeared while we parked — reclaim so the
-                // items are not stranded until a later `add_workers`.
-                items.append(&mut self.parked.lock());
-                continue;
-            }
-            let n = table.len();
-            let mut per: Vec<Vec<Task<In>>> = (0..n).map(|_| Vec::new()).collect();
-            match sched {
-                SchedPolicy::RoundRobin => {
-                    for task in items.drain(..) {
-                        let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
-                        per[i].push(task);
-                    }
-                }
-                SchedPolicy::ShortestQueue => {
-                    // One length snapshot per batch, tracked through the
-                    // batch's own assignments.
-                    let mut lens: Vec<usize> = table.iter().map(|s| s.queue.len()).collect();
-                    for task in items.drain(..) {
-                        let i = (0..n).min_by_key(|&i| lens[i]).expect("non-empty");
-                        lens[i] += 1;
-                        per[i].push(task);
-                    }
-                }
-            }
-            for (i, chunk) in per.iter_mut().enumerate() {
-                if !table[i].queue.push_batch(chunk) {
-                    // Closed under us: hand back for re-dispatch.
-                    items.append(chunk);
-                }
-            }
-            if items.is_empty() {
-                return;
-            }
-            if self.table.generation() == generation {
-                // A queue closed with no newer table published — only
-                // shutdown does that. Nobody will collect these.
-                items.clear();
-                return;
-            }
-            // Generation moved: loop re-reads the fresh table.
-        }
+    if let Some(msg) = panic_msg {
+        engine.record_panic(msg);
     }
 }
 
@@ -703,35 +297,58 @@ pub trait FarmControl: Send + Sync {
 
 impl<In: Send + 'static, Out: Send + 'static> FarmControl for Shared<In, Out> {
     fn sense(&self, now: Time) -> SensorSnapshot {
-        Shared::sense(self, now)
+        self.engine.sense(now)
     }
 
     fn add_workers(&self, n: u32) -> Result<u32, String> {
-        Shared::add_workers(self, n)
+        self.engine.add_workers(n, |n| {
+            if self.reconfig_delay > 0.0 {
+                // Models node recruitment + component deployment latency;
+                // the manager observes `reconfiguring` and skips its
+                // cycles — the paper's Fig. 4 sensor blackout.
+                std::thread::sleep(std::time::Duration::from_secs_f64(self.reconfig_delay));
+            }
+            Ok((0..n).map(|_| self.spawn_worker()).collect())
+        })
     }
 
     fn remove_workers(&self, n: u32) -> Result<u32, String> {
-        Shared::remove_workers(self, n)
+        // Joining may block for up to one in-flight task's service time;
+        // the retired slot keeps its thread for the join at shutdown.
+        self.engine.remove_workers(n, |_| {})
     }
 
     fn rebalance(&self) -> bool {
-        Shared::rebalance(self)
+        self.engine.rebalance()
     }
 
     fn num_workers(&self) -> usize {
-        self.table.load().len()
+        self.engine.num_workers()
     }
 
+    /// Fault injection: abruptly kills `n` workers. Unlike retirement
+    /// this models failure: the whole pool may die (tasks park until
+    /// workers are added), the loss is counted in the `workersLost` bean,
+    /// and no sensor blackout hides it from the manager.
     fn kill_workers(&self, n: u32) -> Result<u32, String> {
-        Shared::kill_workers(self, n)
+        let mut members = self.engine.members.lock();
+        if (members.len() as u32) < n {
+            return Err(format!("cannot kill {n} of {} workers", members.len()));
+        }
+        self.engine.detach_last(&mut members, n as usize, |slot| {
+            slot.kill.store(true, Ordering::SeqCst);
+            self.engine
+                .record_loss("worker killed (fault injection)".to_owned());
+        });
+        Ok(n)
     }
 
     fn workers_lost(&self) -> u64 {
-        self.metrics.workers_lost.load(Ordering::SeqCst)
+        self.engine.workers_lost()
     }
 
     fn events(&self) -> Vec<FarmEvent> {
-        self.events.lock().clone()
+        self.engine.events()
     }
 }
 
@@ -840,161 +457,31 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
     /// Builds and starts the farm.
     pub fn build(self) -> Farm<In, Out> {
         let (input_tx, input_rx) = unbounded::<StreamMsg<In>>();
-        let (results_tx, results_rx) = unbounded::<CollectMsg<Out>>();
         let (output_tx, output_rx) = unbounded::<StreamMsg<Out>>();
-
-        let shared = Arc::new_cyclic(|self_ref| Shared {
-            name: self.name.clone(),
-            self_ref: self_ref.clone(),
-            metrics: FarmMetrics {
-                clock: Arc::clone(&self.clock),
-                arrivals: AtomicRateEstimator::new(self.rate_window),
-                departures: AtomicRateEstimator::new(self.rate_window),
-                end_of_stream: AtomicBool::new(false),
-                reconfiguring: AtomicBool::new(false),
-                blackout_until_bits: AtomicU64::new(0),
-                last_arrival_bits: AtomicU64::new(0),
-                workers_lost: AtomicU64::new(0),
-            },
-            table: Arc::new(Published::new(Vec::new())),
-            workers: Mutex::new(Vec::new()),
-            retired: Mutex::new(Vec::new()),
-            retired_stats: Mutex::new(Vec::new()),
-            dead: Mutex::new(Vec::new()),
-            parked: Mutex::new(Vec::new()),
-            panics: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            terminating: AtomicBool::new(false),
-            next_worker_id: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
-            factory: self.factory,
-            results_tx: results_tx.clone(),
-            max_workers: self.max_workers,
-            reconfig_delay: self.reconfig_delay,
+        let (engine, results_rx) = Engine::new(EngineConfig {
+            name: self.name,
+            clock: self.clock,
             rate_window: self.rate_window,
-            journal: self.journal.clone(),
+            max_workers: self.max_workers,
+            journal: self.journal,
         });
-
-        {
-            let mut workers = shared.workers.lock();
-            for _ in 0..self.initial_workers {
-                workers.push(shared.spawn_worker());
-            }
-            shared.publish_table(&workers);
-        }
-
-        // Emitter: drains input in batches, dispatches via the RCU table.
-        let emitter = {
-            let shared = Arc::clone(&shared);
-            let sched = self.sched;
-            std::thread::Builder::new()
-                .name(format!("{}-emitter", self.name))
-                .spawn(move || {
-                    let mut reader = ReadHandle::new(Arc::clone(&shared.table));
-                    let mut dispatched = 0u64;
-                    let mut batch: Vec<Task<In>> = Vec::with_capacity(DISPATCH_BATCH);
-                    'stream: loop {
-                        // Block for the first message, then opportunistically
-                        // drain the channel up to the batch bound.
-                        let mut end = false;
-                        match input_rx.recv() {
-                            Ok(StreamMsg::Item { seq, payload }) => {
-                                batch.push(Task { seq, item: payload })
-                            }
-                            Ok(StreamMsg::End) => end = true,
-                            Err(_) => break 'stream, // all senders gone
-                        }
-                        while !end && batch.len() < DISPATCH_BATCH {
-                            match input_rx.try_recv() {
-                                Ok(StreamMsg::Item { seq, payload }) => {
-                                    batch.push(Task { seq, item: payload })
-                                }
-                                Ok(StreamMsg::End) => end = true,
-                                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let now = shared.metrics.now();
-                            shared.metrics.arrivals.record_n(now, batch.len() as u64);
-                            shared
-                                .metrics
-                                .last_arrival_bits
-                                .store(now.to_bits(), Ordering::Relaxed);
-                            dispatched += batch.len() as u64;
-                            shared.dispatch(&mut reader, sched, &mut batch);
-                        }
-                        if end {
-                            shared.metrics.end_of_stream.store(true, Ordering::SeqCst);
-                            let _ = shared.results_tx.send(CollectMsg::Total(dispatched));
-                            break 'stream;
-                        }
-                    }
-                })
-                .expect("spawn emitter thread")
-        };
-
-        // Collector: consumes per-worker result batches.
-        let collector = {
-            let shared = Arc::clone(&shared);
-            let gather = self.gather;
-            std::thread::Builder::new()
-                .name(format!("{}-collector", self.name))
-                .spawn(move || {
-                    let mut reorder = ReorderBuffer::new();
-                    let mut done = 0u64;
-                    // Dense output renumbering under ordered gather: an
-                    // explicit counter (not `reorder.next_seq()`) so a
-                    // poisoned task's skipped hole leaves no gap.
-                    let mut emitted = 0u64;
-                    let mut expected: Option<u64> = None;
-                    for msg in results_rx.iter() {
-                        match msg {
-                            CollectMsg::Batch(results) => {
-                                let now = shared.metrics.now();
-                                shared
-                                    .metrics
-                                    .departures
-                                    .record_n(now, results.len() as u64);
-                                done += results.len() as u64;
-                                for (seq, out) in results {
-                                    match gather {
-                                        GatherPolicy::Unordered => {
-                                            let _ = output_tx.send(StreamMsg::item(seq, out));
-                                        }
-                                        GatherPolicy::Ordered => {
-                                            for item in reorder.push(seq, out) {
-                                                let _ =
-                                                    output_tx.send(StreamMsg::item(emitted, item));
-                                                emitted += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            CollectMsg::Lost(seq) => {
-                                // Poisoned by a worker panic: no result
-                                // will ever exist. Account for it so the
-                                // End check converges, and step the
-                                // reorder front over the hole.
-                                done += 1;
-                                if gather == GatherPolicy::Ordered {
-                                    for item in reorder.skip(seq) {
-                                        let _ = output_tx.send(StreamMsg::item(emitted, item));
-                                        emitted += 1;
-                                    }
-                                }
-                            }
-                            CollectMsg::Total(n) => expected = Some(n),
-                        }
-                        if expected == Some(done) {
-                            let _ = output_tx.send(StreamMsg::End);
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn collector thread")
-        };
-
+        let shared = Arc::new(Shared {
+            engine,
+            factory: self.factory,
+            reconfig_delay: self.reconfig_delay,
+        });
+        let engine = &shared.engine;
+        engine.install(
+            (0..self.initial_workers)
+                .map(|_| shared.spawn_worker())
+                .collect(),
+        );
+        let emitter = engine
+            .spawn_emitter(input_rx, self.sched, |item| item, || {})
+            .expect("spawn emitter thread");
+        let collector = engine
+            .spawn_collector(results_rx, output_tx, self.gather)
+            .expect("spawn collector thread");
         Farm {
             input: input_tx,
             output: output_rx,
@@ -1032,64 +519,37 @@ impl<In: Send + 'static, Out: Send + 'static> Farm<In, Out> {
 
     /// Current parallelism degree.
     pub fn num_workers(&self) -> usize {
-        self.shared.table.load().len()
+        self.shared.engine.num_workers()
     }
 
     /// Cumulative workers lost to faults.
     pub fn workers_lost(&self) -> u64 {
-        self.shared.metrics.workers_lost.load(Ordering::SeqCst)
+        self.shared.engine.workers_lost()
     }
 
     /// Waits for the stream to complete (End observed on the output side
     /// by the collector) and tears all threads down. The report surfaces
     /// every worker panic instead of discarding join errors.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.join_all()
-    }
-
-    /// Records a join outcome: an `Err` is an un-caught panic (emitter,
-    /// collector, or a worker that died outside `catch_unwind`).
-    fn record_join(&self, who: &str, res: std::thread::Result<()>) {
-        if let Err(payload) = res {
-            let msg = format!("{who}: {}", panic_message(payload.as_ref()));
-            self.shared.record_event(FarmEvent {
-                at: self.shared.metrics.now(),
-                kind: FarmEventKind::WorkerPanic,
-                detail: msg.clone(),
-            });
-            self.shared.panics.lock().push(msg);
-        }
-    }
-
-    fn join_all(&mut self) -> ShutdownReport {
-        self.shared.terminating.store(true, Ordering::SeqCst);
+        let engine = Arc::clone(&self.shared.engine);
+        engine.terminate();
         if let Some(e) = self.emitter.take() {
-            self.record_join("emitter", e.join());
+            engine.record_join("emitter", e.join());
         }
         if let Some(c) = self.collector.take() {
-            self.record_join("collector", c.join());
+            engine.record_join("collector", c.join());
         }
-        let handles: Vec<WorkerHandle<In>> = std::mem::take(&mut *self.shared.workers.lock());
-        for h in &handles {
-            h.slot.queue.close();
+        for slot in engine.close_all() {
+            if let Some(res) = slot.join() {
+                engine.record_join("worker", res);
+            }
         }
-        self.shared.table.publish(Vec::new());
-        for h in handles {
-            self.record_join("worker", h.thread.join());
+        for slot in engine.retired() {
+            if let Some(res) = slot.join() {
+                engine.record_join("departed worker", res);
+            }
         }
-        for t in std::mem::take(&mut *self.shared.retired.lock()) {
-            self.record_join("retired worker", t.join());
-        }
-        for t in std::mem::take(&mut *self.shared.dead.lock()) {
-            self.record_join("dead worker", t.join());
-        }
-        ShutdownReport {
-            worker_panics: std::mem::take(&mut *self.shared.panics.lock()),
-            workers_lost: self.shared.metrics.workers_lost.load(Ordering::SeqCst),
-            events: std::mem::take(&mut *self.shared.events.lock()),
-            disconnects: Vec::new(),
-            lost_undelivered: Vec::new(),
-        }
+        engine.report(Vec::new())
     }
 }
 
@@ -1097,24 +557,21 @@ impl<In, Out> Drop for Farm<In, Out> {
     fn drop(&mut self) {
         // Best-effort shutdown: close the per-worker queues so workers
         // exit (the emitter, if still running, drops unplaceable tasks).
-        // Collector exits when results senders drop.
-        self.shared.terminating.store(true, Ordering::SeqCst);
-        let handles: Vec<WorkerHandle<In>> = std::mem::take(&mut *self.shared.workers.lock());
-        for h in &handles {
-            h.slot.queue.close();
-        }
-        for h in handles {
-            if let Err(payload) = h.thread.join() {
+        // After `shutdown` every thread is already joined.
+        let engine = &self.shared.engine;
+        engine.terminate();
+        for slot in engine.close_all() {
+            if let Some(Err(payload)) = slot.join() {
                 // Not silently dropped even on the best-effort path.
                 eprintln!(
                     "farm {}: worker panicked: {}",
-                    self.shared.name,
+                    engine.name(),
                     panic_message(payload.as_ref())
                 );
             }
         }
-        for t in std::mem::take(&mut *self.shared.dead.lock()) {
-            let _ = t.join();
+        for slot in engine.retired() {
+            let _ = slot.join();
         }
     }
 }

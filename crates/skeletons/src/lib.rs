@@ -11,6 +11,10 @@
 //!   paper's gather policies). Workers can be **added, removed and
 //!   rebalanced at run time**, which is what the farm manager's
 //!   `ADD_EXECUTOR` / `REMOVE_EXECUTOR` / `BALANCE_LOAD` actuators do;
+//! * the **farm engine** ([`engine`]): the farm's emitter, dispatch,
+//!   collector and loss-free reconfiguration protocol, generic over where
+//!   a worker runs — the threaded farm and `bskel-net`'s remote pool both
+//!   run on it;
 //! * a **pipeline** ([`pipeline`]): a paced source, processing stages
 //!   (sequential or farm), and a sink, connected by bounded channels;
 //! * a **paced source** ([`limiter`]): the token-bucket rate limiter the
@@ -34,6 +38,7 @@
 #![deny(unsafe_code)]
 
 pub mod abc_impl;
+pub mod engine;
 pub mod farm;
 pub mod gcm_sync;
 pub mod limiter;
