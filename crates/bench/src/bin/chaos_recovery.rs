@@ -18,10 +18,16 @@
 //! duplicate, delay) recover per task instead; their `retried` /
 //! `spec_wins` / `dups_dropped` counters quantify that path.
 //!
+//! The verdict FAILs when any class loses or reorders a task, and on a
+//! full run also when drop or corrupt keeps less than half the baseline
+//! throughput: a lost frame on a live slot must be resent at once, not
+//! after the task deadline.
+//!
 //! Results are printed and written to `BENCH_chaos_recovery.json` at
-//! the workspace root. `--quick` shrinks the stream for CI smoke runs.
+//! the workspace root, with the host, core count and commit they came
+//! from. `--quick` shrinks the stream for CI smoke runs.
 
-use bskel_bench::table;
+use bskel_bench::{provenance_json, table};
 use bskel_monitor::Journal;
 use bskel_net::{
     spawn_chaos_local, spawn_local, ChaosPlan, ChaosPolicy, Endpoint, RemotePoolBuilder,
@@ -35,6 +41,9 @@ use std::time::{Duration, Instant};
 const SEED: u64 = 0xC4A05;
 const SPIN_US: u64 = 20;
 const WINDOW: u64 = 64;
+/// Least throughput retention the drop and corrupt classes must keep on
+/// a full run.
+const MIN_FRAME_FAULT_RETENTION: f64 = 0.5;
 
 fn enc(x: u64) -> Vec<u8> {
     x.to_le_bytes().to_vec()
@@ -250,7 +259,13 @@ fn main() {
         .map(|(name, policy)| run_class(name, policy, tasks))
         .collect();
     let base_tp = runs[0].throughput();
-    let pass = runs.iter().all(|r| r.delivered == tasks && r.ordered);
+    let lossless = runs.iter().all(|r| r.delivered == tasks && r.ordered);
+    let retained = quick
+        || runs
+            .iter()
+            .filter(|r| matches!(r.name, "drop" | "corrupt"))
+            .all(|r| r.throughput() / base_tp >= MIN_FRAME_FAULT_RETENTION);
+    let pass = lossless && retained;
 
     let mut rows: Vec<(String, String)> = Vec::new();
     for r in &runs {
@@ -278,14 +293,22 @@ fn main() {
     }
     rows.push((
         "verdict".into(),
-        if pass { "PASS".into() } else { "FAIL".into() },
+        match (lossless, retained) {
+            (true, true) => "PASS".into(),
+            (false, _) => "FAIL (a class lost or reordered tasks)".into(),
+            (true, false) => format!(
+                "FAIL (drop/corrupt retention below {:.0}%)",
+                100.0 * MIN_FRAME_FAULT_RETENTION
+            ),
+        },
     ));
     println!("{}", table("CHAOS1 summary", &rows));
 
     let mut json = String::new();
     json.push_str(&format!(
-        "{{\n  \"bench\": \"chaos_recovery\",\n  \"tasks\": {tasks},\n  \"quick\": {quick},\n  \
-         \"seed\": {SEED},\n  \"spin_us\": {SPIN_US},\n  \"window\": {WINDOW},\n  \"classes\": [\n"
+        "{{\n  \"bench\": \"chaos_recovery\",\n  {},\n  \"tasks\": {tasks},\n  \"quick\": {quick},\n  \
+         \"seed\": {SEED},\n  \"spin_us\": {SPIN_US},\n  \"window\": {WINDOW},\n  \"classes\": [\n",
+        provenance_json()
     ));
     for (i, r) in runs.iter().enumerate() {
         json.push_str(&format!(

@@ -33,7 +33,8 @@ use bskel_bench::table;
 use bskel_core::ControllerKind;
 use bskel_monitor::Journal;
 use bskel_net::{
-    spawn_chaos_local, ChaosPlan, ChaosPolicy, Endpoint, RemotePoolBuilder, RemoteWorkerPool,
+    spawn_chaos_local, ChaosPlan, ChaosPolicy, ChaosProxy, Endpoint, RemotePoolBuilder,
+    RemoteWorkerPool,
 };
 use bskel_skel::stream::StreamMsg;
 use bskel_skel::GatherPolicy;
@@ -194,8 +195,12 @@ fn dec(b: &[u8]) -> u64 {
 /// escape hatch) with per-endpoint seeds derived from the policy's seed.
 /// Delay-only is deliberate: every frame arrives eventually, so even a
 /// zero-token budget cannot wedge the stream, and any amplification
-/// measured is pure re-dispatch policy, not loss recovery.
-fn soak_pool(policy: Policy, delay_ms: (u64, u64)) -> RemoteWorkerPool<u64, u64> {
+/// measured is pure re-dispatch policy, not loss recovery. The proxies
+/// must outlive the pool: dropping one closes its listener.
+fn soak_pool(
+    policy: Policy,
+    delay_ms: (u64, u64),
+) -> (RemoteWorkerPool<u64, u64>, Vec<ChaosProxy>) {
     let seed = policy.seed();
     let mut b = policy.apply(
         RemotePoolBuilder::new("double", enc, dec)
@@ -207,6 +212,7 @@ fn soak_pool(policy: Policy, delay_ms: (u64, u64)) -> RemoteWorkerPool<u64, u64>
             .failure_timeout(Duration::from_secs(60))
             .resilience_seed(seed),
     );
+    let mut proxies = Vec::new();
     for i in 0..4u64 {
         let plan = ChaosPlan {
             seed: seed ^ (0x9E37_79B9 * (i + 1)),
@@ -218,12 +224,14 @@ fn soak_pool(policy: Policy, delay_ms: (u64, u64)) -> RemoteWorkerPool<u64, u64>
         };
         let proxy = spawn_chaos_local(plan).expect("spawn chaos proxy + daemon");
         b = b.endpoint(Endpoint::plain(proxy.addr().to_string()));
+        proxies.push(proxy);
     }
-    b.build().expect("all four chaos endpoints reachable")
+    let pool = b.build().expect("all four chaos endpoints reachable");
+    (pool, proxies)
 }
 
 fn run_soak(policy: Policy, n: u64, delay_ms: (u64, u64)) -> SoakRow {
-    let pool = soak_pool(policy, delay_ms);
+    let (pool, _proxies) = soak_pool(policy, delay_ms);
     let started = Instant::now();
     let tx = pool.input();
     let producer = std::thread::spawn(move || {

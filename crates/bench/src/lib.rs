@@ -95,6 +95,32 @@ pub fn event_lines(events: &[EventRecord], limit: usize) -> String {
         .join("\n")
 }
 
+/// Where a bench ran, as JSON object members for a BENCH file: the CPU
+/// model (`host`), the cores this process may use (`nproc`) and the
+/// commit measured (`git describe --always --dirty`, `null` outside a
+/// git checkout).
+pub fn provenance_json() -> String {
+    let host = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        .map_or("null".into(), |c| format!("{c:?}"));
+    format!("\"host\": {host:?}, \"nproc\": {nproc}, \"commit\": {commit}")
+}
+
 /// Formats seconds as the paper's `mm:ss` axis labels.
 pub fn mmss(t: f64) -> String {
     format!("{:02}:{:02}", (t / 60.0) as u64, (t % 60.0) as u64)

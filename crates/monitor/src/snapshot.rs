@@ -49,8 +49,9 @@ pub mod beans {
     /// Largest current reconnect backoff delay across endpoints,
     /// milliseconds (0.0 when every endpoint is healthy).
     pub const RECONNECT_BACKOFF_MS: &str = "reconnectBackoffMs";
-    /// Cumulative tasks re-dispatched speculatively after missing their
-    /// soft deadline.
+    /// Cumulative tasks re-dispatched while their worker lived: resends
+    /// of tasks whose `Task` or answer frame was lost on the wire, plus
+    /// speculative re-executions after a missed soft deadline.
     pub const TASKS_RETRIED: &str = "tasksRetried";
     /// Cumulative speculative retries that beat the original attempt to
     /// the result.
@@ -125,7 +126,8 @@ pub struct SensorSnapshot {
     pub circuit_open_count: u32,
     /// Largest current reconnect backoff delay across endpoints (ms).
     pub reconnect_backoff_ms: f64,
-    /// Cumulative speculative re-dispatches of straggling tasks.
+    /// Cumulative lost-frame resends plus speculative re-dispatches of
+    /// straggling tasks.
     pub tasks_retried: u64,
     /// Cumulative speculative retries that won the race to the result.
     pub speculative_wins: u64,

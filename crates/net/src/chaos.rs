@@ -29,10 +29,11 @@
 //! as a valid frame: corruption ≡ drop + garbage on the wire. This is
 //! what makes the decoder-under-corruption property ("never emits a frame
 //! that wasn't sent") checkable, and zero task loss provable — a
-//! corrupted `Task`/`Result` is recovered by the pool's deadline retry,
-//! not by guessing at damaged bytes. Payloads containing the frame magic
-//! could in principle alias as an embedded frame after resync; the
-//! property test keeps payload bytes below `0x80` to exclude it.
+//! corrupted `Task`/`Result` is recovered by the pool's lost-frame
+//! resend, not by guessing at damaged bytes. Payloads containing the
+//! frame magic could in principle alias as an embedded frame after
+//! resync; the property test keeps payload bytes below `0x80` to
+//! exclude it.
 //!
 //! The proxy decodes frames, so it only works on **plain** endpoints;
 //! secure channels would need byte-level injection (which cannot target
@@ -46,6 +47,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::accept::{self, Listening};
 use crate::proto::{encode_frame, FrameType, ProtoError};
 use crate::wire::{FillStatus, FrameReader};
 
@@ -289,22 +291,39 @@ impl ProxyShared {
 /// A fault-injecting TCP proxy in front of one daemon endpoint.
 ///
 /// Spawn with [`ChaosProxy::spawn`], point the pool at
-/// [`ChaosProxy::addr`]. The accept loop runs on a detached thread for
-/// the life of the process (like [`crate::daemon::spawn_local`]).
+/// [`ChaosProxy::addr`]. The listener is served by the process-wide
+/// accept thread (like [`crate::daemon::spawn_local`]'s) and lives as
+/// long as the proxy: dropping the proxy closes it, together with the
+/// upstream daemon [`spawn_chaos_local`] started. Connections already
+/// relayed run on until either side closes them.
 pub struct ChaosProxy {
     shared: Arc<ProxyShared>,
     addr: SocketAddr,
+    _listening: Listening,
+    /// The in-process daemon behind the proxy, when it owns one.
+    _upstream: Option<Listening>,
 }
 
 impl ChaosProxy {
     /// Binds a loopback listener and relays every accepted connection to
-    /// `upstream` under `plan`.
+    /// `upstream` under `plan`. The connect to `upstream` runs on the
+    /// shared accept thread, so `upstream` should be a loopback address.
     pub fn spawn(upstream: impl Into<String>, plan: ChaosPlan) -> std::io::Result<Self> {
+        Self::start(upstream.into(), plan, None)
+    }
+
+    /// [`ChaosProxy::spawn`], optionally owning the upstream daemon's
+    /// listener so that it closes with the proxy.
+    fn start(
+        upstream: String,
+        plan: ChaosPlan,
+        owned_upstream: Option<Listening>,
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(ProxyShared {
             plan,
-            upstream: upstream.into(),
+            upstream,
             log: Mutex::new(Vec::new()),
             conns: AtomicU64::new(0),
             connect_attempts: AtomicU64::new(0),
@@ -312,13 +331,16 @@ impl ChaosProxy {
             refuse_all: AtomicBool::new(false),
             healed: AtomicBool::new(false),
         });
-        {
+        let listening = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("chaos-proxy-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?;
-        }
-        Ok(Self { shared, addr })
+            accept::listen(listener, move |client| accept_one(client, &shared))?
+        };
+        Ok(Self {
+            shared,
+            addr,
+            _listening: listening,
+            _upstream: owned_upstream,
+        })
     }
 
     /// The address the system under test should connect to.
@@ -364,57 +386,57 @@ impl ChaosProxy {
 /// [`ChaosProxy::addr`]) — the chaos-wrapped counterpart of
 /// [`crate::daemon::spawn_local`].
 pub fn spawn_chaos_local(plan: ChaosPlan) -> std::io::Result<ChaosProxy> {
-    let daemon = crate::daemon::spawn_local("127.0.0.1:0")?;
-    ChaosProxy::spawn(daemon.to_string(), plan)
+    let (daemon, listening) = crate::daemon::listen_local("127.0.0.1:0")?;
+    ChaosProxy::start(daemon.to_string(), plan, Some(listening))
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
-    for stream in listener.incoming() {
-        let Ok(client) = stream else { continue };
-        let attempt = shared.connect_attempts.fetch_add(1, Ordering::SeqCst);
-        let p = &shared.plan.policy;
-        let scheduled = attempt >= u64::from(p.healthy_connects)
-            && attempt < u64::from(p.healthy_connects) + u64::from(p.refuse_connects);
-        let refuse = !shared.healed.load(Ordering::SeqCst)
-            && (shared.refuse_all.load(Ordering::SeqCst) || scheduled);
-        if refuse {
-            shared.refused.fetch_add(1, Ordering::SeqCst);
-            shared.record(InjectedFault {
-                conn: attempt,
-                dir: Direction::ToDaemon,
-                frame: 0,
-                kind: FaultKind::RefuseConnect,
-                detail: 0,
-            });
+/// Admits or refuses one client connection and starts its two relays.
+/// Runs on the shared accept thread: the upstream connect is the only
+/// wait, and a loopback connect completes through the listen backlog.
+fn accept_one(client: TcpStream, shared: &Arc<ProxyShared>) {
+    let attempt = shared.connect_attempts.fetch_add(1, Ordering::SeqCst);
+    let p = &shared.plan.policy;
+    let scheduled = attempt >= u64::from(p.healthy_connects)
+        && attempt < u64::from(p.healthy_connects) + u64::from(p.refuse_connects);
+    let refuse = !shared.healed.load(Ordering::SeqCst)
+        && (shared.refuse_all.load(Ordering::SeqCst) || scheduled);
+    if refuse {
+        shared.refused.fetch_add(1, Ordering::SeqCst);
+        shared.record(InjectedFault {
+            conn: attempt,
+            dir: Direction::ToDaemon,
+            frame: 0,
+            kind: FaultKind::RefuseConnect,
+            detail: 0,
+        });
+        let _ = client.shutdown(Shutdown::Both);
+        return;
+    }
+    let Ok(upstream) = TcpStream::connect(&shared.upstream) else {
+        let _ = client.shutdown(Shutdown::Both);
+        return;
+    };
+    client.set_nodelay(true).ok();
+    upstream.set_nodelay(true).ok();
+    let conn = shared.conns.fetch_add(1, Ordering::SeqCst);
+    let pairs = [
+        (
+            Direction::ToDaemon,
+            client.try_clone(),
+            upstream.try_clone(),
+        ),
+        (Direction::ToPool, upstream.try_clone(), client.try_clone()),
+    ];
+    for (dir, from, to) in pairs {
+        let (Ok(from), Ok(to)) = (from, to) else {
             let _ = client.shutdown(Shutdown::Both);
-            continue;
-        }
-        let Ok(upstream) = TcpStream::connect(&shared.upstream) else {
-            let _ = client.shutdown(Shutdown::Both);
-            continue;
+            let _ = upstream.shutdown(Shutdown::Both);
+            break;
         };
-        client.set_nodelay(true).ok();
-        upstream.set_nodelay(true).ok();
-        let conn = shared.conns.fetch_add(1, Ordering::SeqCst);
-        let pairs = [
-            (
-                Direction::ToDaemon,
-                client.try_clone(),
-                upstream.try_clone(),
-            ),
-            (Direction::ToPool, upstream.try_clone(), client.try_clone()),
-        ];
-        for (dir, from, to) in pairs {
-            let (Ok(from), Ok(to)) = (from, to) else {
-                let _ = client.shutdown(Shutdown::Both);
-                let _ = upstream.shutdown(Shutdown::Both);
-                break;
-            };
-            let shared = Arc::clone(shared);
-            let _ = std::thread::Builder::new()
-                .name(format!("chaos-relay-c{conn}"))
-                .spawn(move || relay(from, to, dir, conn, &shared));
-        }
+        let shared = Arc::clone(shared);
+        let _ = std::thread::Builder::new()
+            .name(format!("chaos-relay-c{conn}"))
+            .spawn(move || relay(from, to, dir, conn, &shared));
     }
 }
 

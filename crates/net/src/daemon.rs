@@ -22,6 +22,19 @@
 //!    `seq` will never produce a result. `Goodbye` drains the pending
 //!    queue, flushes, and closes.
 //!
+//! **Ordering contract.** One serve thread, one FIFO `pending` queue
+//! and one ordered writer per connection give three guarantees, which
+//! the pool's lost-frame detection relies on (see [`crate::pool`]):
+//!
+//! * a slot answers `Task` frames with `Result`/`Lost` in arrival order;
+//! * a `HeartbeatAck` is written after every answer written before the
+//!   ping was read;
+//! * its sensor `queue_depth` counts the tasks received but not yet
+//!   answered (a heartbeat is read only between tasks, never during one).
+//!
+//! So an ack reporting depth 0 proves every task that arrived before its
+//! ping has been answered, and a missing answer was lost on the wire.
+//!
 //! The daemon is workload-agnostic at deploy time: it hosts the small
 //! registry in [`Workload`] and the client picks per connection.
 
@@ -35,6 +48,7 @@ use std::time::{Duration, Instant};
 use bskel_monitor::Welford;
 use parking_lot::Mutex;
 
+use crate::accept::{self, Listening};
 use crate::proto::{
     decode_hello, encode_hello_ack, encode_sensors, Frame, FrameType, HelloAck, SensorBlob,
 };
@@ -363,32 +377,46 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
     served
 }
 
+/// Serves one accepted connection on a thread of its own.
+fn spawn_slot(stream: TcpStream) {
+    // Out of threads: the connection drops, and the pool sees a closed
+    // slot like any other failed connect.
+    let _ = std::thread::Builder::new()
+        .name("bskel-workerd-slot".into())
+        .spawn(move || {
+            // A dropped connection is the client's business (the pool
+            // detects it via heartbeat/EOF); nothing useful to do here.
+            let _ = handle_conn(stream);
+        });
+}
+
 /// Accept loop: one thread per connection, forever.
 pub fn serve(listener: TcpListener) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
-        std::thread::Builder::new()
-            .name("bskel-workerd-slot".into())
-            .spawn(move || {
-                // A dropped connection is the client's business (the pool
-                // detects it via heartbeat/EOF); nothing useful to do here.
-                let _ = handle_conn(stream);
-            })
-            .expect("spawn slot thread");
+        spawn_slot(stream);
     }
 }
 
 /// Starts an in-process daemon on `addr` (use port 0 for an ephemeral
-/// port) and returns the bound address. The accept loop runs on a
-/// detached thread for the life of the process — intended for tests and
-/// benches that want a loopback daemon without a child process.
+/// port) and returns the bound address. Intended for tests and benches
+/// that want a loopback daemon without a child process.
+///
+/// The listener stays open for the life of the process. It is served by
+/// the process-wide accept thread (shared with every other in-process
+/// daemon and chaos proxy), so each call costs one listening fd and no
+/// thread of its own.
 pub fn spawn_local(addr: &str) -> std::io::Result<SocketAddr> {
+    let (bound, listening) = listen_local(addr)?;
+    listening.keep_forever();
+    Ok(bound)
+}
+
+/// [`spawn_local`] whose listener closes when the returned guard drops.
+pub(crate) fn listen_local(addr: &str) -> std::io::Result<(SocketAddr, Listening)> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
-    std::thread::Builder::new()
-        .name("bskel-workerd-local".into())
-        .spawn(move || serve(listener))?;
-    Ok(bound)
+    Ok((bound, accept::listen(listener, spawn_slot)?))
 }
 
 #[cfg(test)]

@@ -26,8 +26,9 @@
 //!   meter calibrates the simulator's `SslCostModel`;
 //! * [`daemon`] — the worker-daemon serve loop and workload registry;
 //! * [`pool`] — [`RemoteWorkerPool`]: the distributed farm, with
-//!   endpoint circuit breakers, backoff-with-jitter reconnects and
-//!   soft task deadlines with speculative re-execution;
+//!   endpoint circuit breakers, backoff-with-jitter reconnects, resends
+//!   of tasks whose frames were lost, and soft task deadlines with
+//!   speculative re-execution;
 //! * [`chaos`] — seeded, deterministic fault injection (a frame-level
 //!   proxy for drop/delay/dup/corrupt/refuse/disconnect/stall) that the
 //!   soak tests drive the pool's resilience policies with;
@@ -37,12 +38,15 @@
 //! * [`sys`] — dependency-free Linux readiness polling (`epoll` +
 //!   `eventfd` via raw syscalls, no libc);
 //! * [`reactor`] — the event loop's allocation/syscall-economy pieces:
-//!   pooled frame buffers, a vectored-write send queue, a timer wheel.
+//!   pooled frame buffers, a vectored-write send queue, a timer wheel;
+//! * `accept` (internal) — the one accept thread serving every
+//!   in-process daemon and chaos-proxy listener.
 
 #![warn(missing_docs)]
 // `unsafe` is confined to the raw-syscall layer; everything else is safe.
 #![deny(unsafe_code)]
 
+mod accept;
 pub mod chaos;
 pub mod daemon;
 pub mod metrics;

@@ -58,8 +58,19 @@
 //! * reconnect attempts back off exponentially with **decorrelated
 //!   jitter** (seeded, so schedules replay under a fixed
 //!   [`RemotePoolBuilder::resilience_seed`]);
+//! * a **lost-frame resend** recovers a `Task` or answer frame lost on a
+//!   live slot, with no timer. A daemon answers a connection's tasks in
+//!   arrival order (see [`crate::daemon`]), so each in-flight entry
+//!   records its place in the slot's send order. An answer for the task
+//!   sent k-th proves every earlier unanswered task on that slot lost;
+//!   a heartbeat ack reporting an empty daemon queue proves the same for
+//!   every task sent before its ping, which catches a lost tail. Those
+//!   tasks are re-dispatched at once through the engine's recovery path,
+//!   charged to the retry budget like a death replay and counted in
+//!   `tasks_retried`. A fault-free answer pays one compare;
 //! * an optional **soft task deadline** speculatively re-executes
-//!   overdue in-flight tasks on a second slot. The speculation registry
+//!   overdue in-flight tasks on a second slot: slow tasks on a slot that
+//!   is still alive, since lost ones are resent. The speculation registry
 //!   resolves the race: the first copy home wins, every other copy's
 //!   in-flight entry is stripped (so death harvests cannot replay it)
 //!   and late duplicates are counted and dropped — the collector's
@@ -70,7 +81,7 @@
 //! new daemon slot, REMOVE_WORKER retires one cooperatively) with no rule
 //! changes — remote workers are just workers with beans.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -376,6 +387,101 @@ struct InflightEntry {
     /// When the reactor queued it for the wire — what the deadline sweep
     /// ages.
     sent_at: Instant,
+    /// Its place in the slot's send order (see [`Inflight`]).
+    ordinal: u64,
+}
+
+/// A slot's unanswered tasks plus the order they went on the wire.
+///
+/// A daemon answers a connection's `Task` frames strictly in arrival
+/// order (see [`crate::daemon`]). So an answer for the task sent k-th
+/// proves that every task sent before it and still unanswered was lost
+/// on the way: its `Task` frame or its answer never arrived. `order`
+/// holds one `(ordinal, seq)` pair per send, oldest first. A pair whose
+/// entry has gone since (answered, or stripped by the speculation
+/// registry) or carries another ordinal is stale and skipped, which is
+/// why answers are matched by `(ordinal, seq)` and not by `seq` alone.
+#[derive(Default)]
+struct Inflight {
+    tasks: BTreeMap<u64, InflightEntry>,
+    order: VecDeque<(u64, u64)>,
+    /// Ordinal of the next task recorded on this slot.
+    next_ordinal: u64,
+}
+
+impl Inflight {
+    /// Records a task about to be queued for the wire. Returns `false`,
+    /// recording nothing, when the slot already holds an unanswered copy
+    /// of `seq` (a recovery replay routed it back here): that copy is
+    /// answered or found lost like any other, and a second copy on the
+    /// same connection would leave its first answer ambiguous.
+    fn record(&mut self, seq: u64, item: &[u8], now: Instant) -> bool {
+        if self.tasks.contains_key(&seq) {
+            return false;
+        }
+        let ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
+        self.tasks.insert(
+            seq,
+            InflightEntry {
+                item: item.to_vec(),
+                sent_at: now,
+                ordinal,
+            },
+        );
+        self.order.push_back((ordinal, seq));
+        true
+    }
+
+    /// Claims the entry an answer for `seq` resolves and moves every
+    /// entry sent before it into `lost`. `None` for an unclaimed answer
+    /// (a duplicate, or a copy already stripped), which proves nothing
+    /// about the send order. On a fault-free answer the claimed pair is
+    /// the front of `order`: one compare.
+    fn claim(&mut self, seq: u64, lost: &mut Vec<Task<Vec<u8>>>) -> Option<InflightEntry> {
+        let entry = self.tasks.remove(&seq)?;
+        self.lost_before(entry.ordinal, lost);
+        if self.order.front() == Some(&(entry.ordinal, seq)) {
+            self.order.pop_front();
+        }
+        Some(entry)
+    }
+
+    /// Moves every entry sent before `ordinal` into `lost`.
+    fn lost_before(&mut self, ordinal: u64, lost: &mut Vec<Task<Vec<u8>>>) {
+        while let Some(&(ord, seq)) = self.order.front() {
+            if ord >= ordinal {
+                break;
+            }
+            self.order.pop_front();
+            if let btree_map::Entry::Occupied(e) = self.tasks.entry(seq) {
+                if e.get().ordinal == ord {
+                    lost.push(Task {
+                        seq,
+                        item: e.remove().item,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Empties the map, oldest sequence numbers first (the death harvest).
+    fn take_all(&mut self) -> Vec<Task<Vec<u8>>> {
+        self.order.clear();
+        std::mem::take(&mut self.tasks)
+            .into_iter()
+            .map(|(seq, e)| Task { seq, item: e.item })
+            .collect()
+    }
+}
+
+/// An outstanding heartbeat ping: its id, when it was queued, and the
+/// slot's next send ordinal at that moment — every task sent before the
+/// ping has a lower one.
+struct Ping {
+    id: u64,
+    sent: Instant,
+    ordinal: u64,
 }
 
 /// A task being speculatively re-executed: every slot holding a copy,
@@ -508,11 +614,14 @@ struct SlotShared {
     /// drains it onto the wire.
     queue: WorkerQueue<Vec<u8>>,
     /// Tasks sent but not yet resolved by a `Result`/`Lost` frame, keyed
-    /// by sequence number. Entries are inserted by the reactor *before*
-    /// the bytes are queued for the wire and removed only when the
-    /// reactor resolves an answer (or the speculation registry strips a
+    /// by sequence number, with their send order. Entries are inserted by
+    /// the reactor *before* the bytes are queued for the wire and removed
+    /// only when the reactor resolves an answer, finds them lost, or
+    /// harvests a dead slot (or the speculation registry strips a
     /// superseded copy).
-    inflight: Mutex<BTreeMap<u64, InflightEntry>>,
+    inflight: Mutex<Inflight>,
+    /// Lock-free mirror of `inflight.tasks.len()`, stored under the lock
+    /// after every change.
     inflight_count: AtomicUsize,
     /// The connection's only socket (no fd duplication). The reactor does
     /// all I/O through it and `take`s it when the connection finishes, so
@@ -530,8 +639,8 @@ struct SlotShared {
     rtt_ms_bits: AtomicU64,
     /// When the last frame (any type) arrived from this slot.
     last_seen: Mutex<Instant>,
-    /// Outstanding heartbeat pings: id → send time.
-    pings: Mutex<HashMap<u64, Instant>>,
+    /// Outstanding heartbeat pings, oldest first.
+    pings: Mutex<VecDeque<Ping>>,
     /// Cooperative retirement in progress (`remove_workers`).
     retiring: AtomicBool,
     /// The death path has run (single-shot guard).
@@ -564,6 +673,80 @@ impl Slot for SlotShared {
 type PoolEngine<Out> = Engine<SlotShared, Out>;
 
 impl SlotShared {
+    fn new(id: u64, endpoint: Endpoint, stream: Option<TcpStream>) -> Self {
+        Self {
+            id,
+            endpoint,
+            queue: WorkerQueue::new(),
+            inflight: Mutex::new(Inflight::default()),
+            inflight_count: AtomicUsize::new(0),
+            stream: Mutex::new(stream),
+            send_q_depth: AtomicUsize::new(0),
+            service: Mutex::new(Welford::new()),
+            remote_depth: AtomicUsize::new(0),
+            rtt_ms_bits: AtomicU64::new(0),
+            last_seen: Mutex::new(Instant::now()),
+            pings: Mutex::new(VecDeque::new()),
+            retiring: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            suspect_reason: Mutex::new(None),
+        }
+    }
+
+    /// Runs `f` on the in-flight map and refreshes `inflight_count`
+    /// under the same lock.
+    fn with_inflight<R>(&self, f: impl FnOnce(&mut Inflight) -> R) -> R {
+        let mut inflight = self.inflight.lock();
+        let r = f(&mut inflight);
+        self.inflight_count
+            .store(inflight.tasks.len(), Ordering::SeqCst);
+        r
+    }
+
+    /// Records a wire batch in flight, dropping from `batch` the tasks
+    /// this slot already holds (see [`Inflight::record`]). `false` when
+    /// the slot died first: nothing was recorded.
+    fn record_batch(&self, batch: &mut Vec<Task<Vec<u8>>>) -> bool {
+        self.with_inflight(|inflight| {
+            // With the death path on the reactor thread this check is
+            // merely defensive.
+            if self.dead.load(Ordering::SeqCst) {
+                return false;
+            }
+            let now = Instant::now();
+            batch.retain(|t| inflight.record(t.seq, &t.item, now));
+            true
+        })
+    }
+
+    /// Removes `seq`'s entry, if any (a superseded speculative copy).
+    fn strip(&self, seq: u64) {
+        self.with_inflight(|inflight| inflight.tasks.remove(&seq));
+    }
+
+    /// Queues ping `id` as sent now, after every task recorded so far.
+    fn record_ping(&self, id: u64) {
+        let ordinal = self.inflight.lock().next_ordinal;
+        self.pings.lock().push_back(Ping {
+            id,
+            sent: Instant::now(),
+            ordinal,
+        });
+    }
+
+    /// Takes ping `id` off the outstanding list. Acks come back in ping
+    /// order, so older pings still listed were lost and are forgotten.
+    fn take_ping(&self, id: u64) -> Option<Ping> {
+        let mut pings = self.pings.lock();
+        while pings.front().is_some_and(|p| p.id < id) {
+            pings.pop_front();
+        }
+        pings
+            .front()
+            .is_some_and(|p| p.id == id)
+            .then(|| pings.pop_front())?
+    }
+
     fn rtt_ms(&self) -> f64 {
         f64::from_bits(self.rtt_ms_bits.load(Ordering::Relaxed))
     }
@@ -616,7 +799,8 @@ enum TimerKey {
 /// The resilience counters (the engine keeps the farm's sensors).
 #[derive(Default)]
 struct PoolMetrics {
-    /// Speculative re-executions dispatched by the deadline sweep.
+    /// Lost-frame resends plus speculative re-executions dispatched by
+    /// the deadline sweep.
     tasks_retried: AtomicU64,
     /// Hedged (quantile-triggered) duplicate dispatches.
     hedges_launched: AtomicU64,
@@ -742,25 +926,8 @@ impl<Out: Send + 'static> PoolShared<Out> {
         };
         stream.set_nonblocking(true).map_err(|e| err(&e))?;
 
-        let slot = Arc::new(SlotShared {
-            id,
-            endpoint: endpoint.clone(),
-            queue: WorkerQueue::new(),
-            inflight: Mutex::new(BTreeMap::new()),
-            inflight_count: AtomicUsize::new(0),
-            stream: Mutex::new(Some(stream)),
-            send_q_depth: AtomicUsize::new(0),
-            service: Mutex::new(Welford::new()),
-            remote_depth: AtomicUsize::new(0),
-            rtt_ms_bits: AtomicU64::new(0),
-            last_seen: Mutex::new(Instant::now()),
-            pings: Mutex::new(HashMap::new()),
-            retiring: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            suspect_reason: Mutex::new(None),
-        });
         Ok(ConnSeed {
-            slot,
+            slot: Arc::new(SlotShared::new(id, endpoint.clone(), Some(stream))),
             decoder,
             cipher_in,
             cipher_out,
@@ -783,13 +950,12 @@ impl<Out: Send + 'static> PoolShared<Out> {
         slot.touch();
         match ftype {
             FrameType::Result => {
-                // `remove` guards against duplicates by construction: a
+                // Claiming guards against duplicates by construction: a
                 // result for an already-harvested (recovered) task is
                 // dropped rather than delivered twice.
-                let entry = slot.inflight.lock().remove(&seq);
+                let entry = self.claim(slot, seq);
                 let claimed = entry.is_some();
                 if let Some(e) = entry {
-                    slot.inflight_count.fetch_sub(1, Ordering::SeqCst);
                     if self.resilience.hedge_quantile.is_some() {
                         self.latency
                             .lock()
@@ -806,10 +972,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             FrameType::Lost => {
                 // The remote worker panicked on this task: poisoned, no
                 // result will ever exist. Propagate the hole.
-                let claimed = slot.inflight.lock().remove(&seq).is_some();
-                if claimed {
-                    slot.inflight_count.fetch_sub(1, Ordering::SeqCst);
-                }
+                let claimed = self.claim(slot, seq).is_some();
                 if self.resolve_answer(slot, seq, claimed) {
                     self.engine.report_lost(seq);
                     self.engine.record_panic(format!(
@@ -826,19 +989,69 @@ impl<Out: Send + 'static> PoolShared<Out> {
                 }
             }
             FrameType::HeartbeatAck => {
-                if let Some(blob) = decode_sensors(payload) {
+                let depth = decode_sensors(payload).map(|blob| {
                     *slot.service.lock() = blob.service;
                     slot.remote_depth
                         .store(blob.queue_depth as usize, Ordering::Relaxed);
-                }
-                if let Some(sent) = slot.pings.lock().remove(&seq) {
-                    let rtt_ms = sent.elapsed().as_secs_f64() * 1e3;
+                    blob.queue_depth
+                });
+                if let Some(ping) = slot.take_ping(seq) {
+                    let rtt_ms = ping.sent.elapsed().as_secs_f64() * 1e3;
                     slot.rtt_ms_bits.store(rtt_ms.to_bits(), Ordering::Relaxed);
+                    // The ack follows every answer the daemon wrote
+                    // before it; an empty daemon queue means every task
+                    // sent before the ping was answered or lost. This
+                    // catches losses at the tail, with no later answer.
+                    if depth == Some(0) {
+                        let mut lost = Vec::new();
+                        slot.with_inflight(|f| f.lost_before(ping.ordinal, &mut lost));
+                        self.resend_lost(lost);
+                    }
                 }
             }
             // Goodbye: the daemon acknowledged retirement; EOF follows.
             // Handshake/task frames are never valid daemon→pool.
             _ => {}
+        }
+    }
+
+    /// Claims the in-flight entry an answer for `seq` resolves on `slot`
+    /// and resends what the answer order proves lost before it.
+    fn claim(&self, slot: &SlotShared, seq: u64) -> Option<InflightEntry> {
+        let mut lost = Vec::new();
+        let entry = slot.with_inflight(|f| f.claim(seq, &mut lost));
+        self.resend_lost(lost);
+        entry
+    }
+
+    /// Re-dispatches tasks a live slot lost in transit at once, through
+    /// the engine's recovery path. Like the death path's replay, the
+    /// resends are charged to the retry budget but never blocked by it;
+    /// they count in `tasks_retried`. A task whose speculative copy
+    /// already won is dropped instead: it was delivered.
+    fn resend_lost(&self, mut lost: Vec<Task<Vec<u8>>>) {
+        self.drop_resolved(&mut lost);
+        if lost.is_empty() {
+            return;
+        }
+        let n = lost.len();
+        self.metrics
+            .tasks_retried
+            .fetch_add(n as u64, Ordering::SeqCst);
+        if let Some(b) = &self.budget {
+            b.charge_forced(n as f64);
+        }
+        self.engine.recover(lost);
+    }
+
+    /// Drops the tasks a speculative copy already resolved: they were
+    /// delivered. Never sending them again also means a copy the
+    /// registry stripped from a slot is never recorded there a second
+    /// time, so its late answer cannot be mistaken for a newer copy's.
+    fn drop_resolved(&self, tasks: &mut Vec<Task<Vec<u8>>>) {
+        if self.spec_touched.load(Ordering::SeqCst) {
+            let spec = self.spec.lock();
+            tasks.retain(|t| !spec.resolved.contains(&t.seq));
         }
     }
 
@@ -867,9 +1080,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
                     continue;
                 }
                 if let Some(h) = holder.upgrade() {
-                    if h.inflight.lock().remove(&seq).is_some() {
-                        h.inflight_count.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    h.strip(seq);
                 }
             }
             true
@@ -923,6 +1134,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             let overdue: Vec<(u64, Vec<u8>)> = {
                 let inflight = slot.inflight.lock();
                 inflight
+                    .tasks
                     .iter()
                     .filter(|(_, e)| e.sent_at.elapsed() > deadline)
                     .take(SPEC_SWEEP_LIMIT)
@@ -956,7 +1168,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
         self.spec_touched.store(true, Ordering::SeqCst);
         // Re-check under the lock: the resolver may have claimed the task
         // since the sweep's snapshot, or an earlier copy may have won.
-        if spec.resolved.contains(&seq) || !source.inflight.lock().contains_key(&seq) {
+        if spec.resolved.contains(&seq) || !source.inflight.lock().tasks.contains_key(&seq) {
             return;
         }
         let holders: Vec<u64> = match spec.active.get(&seq) {
@@ -1027,11 +1239,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             return;
         }
         // In-flight first (oldest sequence numbers), then staged backlog.
-        let harvested: Vec<Task<Vec<u8>>> = std::mem::take(&mut *slot.inflight.lock())
-            .into_iter()
-            .map(|(seq, e)| Task { seq, item: e.item })
-            .collect();
-        slot.inflight_count.store(0, Ordering::SeqCst);
+        let harvested = slot.with_inflight(Inflight::take_all);
         let (_, replayed) = self.engine.lose(slot, harvested);
         // Recovery re-queues are charged but never blocked: loss freedom
         // outranks the storm brake, and the drained bucket suppresses
@@ -1380,41 +1588,19 @@ fn pump_conn<Out: Send + 'static>(
         match slot.queue.try_pop_batch(WIRE_BATCH, batch) {
             TryPop::Got => {
                 // Record in-flight BEFORE queueing bytes: there is no
-                // window in which a task exists only as wire bytes. The
-                // `dead` check mirrors the old writer-thread race guard;
-                // with the death path on this same thread it is merely
-                // defensive.
-                let fresh = {
-                    let mut inflight = slot.inflight.lock();
-                    if slot.dead.load(Ordering::SeqCst) {
-                        None
-                    } else {
-                        let now = Instant::now();
-                        // Count only *fresh* inserts: a recovery replay
-                        // can route the same sequence number back onto
-                        // this slot while a stale copy is still recorded,
-                        // and counting it twice would leak
-                        // `inflight_count` forever.
-                        let mut fresh = 0usize;
-                        for t in batch.iter() {
-                            let entry = InflightEntry {
-                                item: t.item.clone(),
-                                sent_at: now,
-                            };
-                            if inflight.insert(t.seq, entry).is_none() {
-                                fresh += 1;
-                            }
-                        }
-                        Some(fresh)
-                    }
-                };
-                let Some(fresh) = fresh else {
+                // window in which a task exists only as wire bytes. A
+                // task this slot already holds (a recovery replay routed
+                // it back) stays recorded once and is not sent again.
+                shared.drop_resolved(batch);
+                if !slot.record_batch(batch) {
                     // Died under us before these tasks were recorded
                     // anywhere a harvest could see: replay them directly.
                     shared.engine.recover(std::mem::take(batch));
                     break;
-                };
-                slot.inflight_count.fetch_add(fresh, Ordering::SeqCst);
+                }
+                if batch.is_empty() {
+                    continue;
+                }
                 let mut buf = buffers.get();
                 let frames = batch.len();
                 for t in batch.drain(..) {
@@ -1717,7 +1903,7 @@ impl<Out: Send + 'static> Reactor<Out> {
                 continue;
             }
             let ping = self.shared.next_ping.fetch_add(1, Ordering::Relaxed);
-            slot.pings.lock().insert(ping, Instant::now());
+            slot.record_ping(ping);
             let mut buf = self.buffers.get();
             encode_frame(&mut buf, FrameType::Heartbeat, ping, &[]);
             if let Some(c) = conn.cipher_out.as_mut() {
@@ -2192,7 +2378,8 @@ impl<In: Send + 'static, Out: Send + 'static> RemoteWorkerPool<In, Out> {
         self.shared.engine.workers_lost()
     }
 
-    /// Speculative re-executions the deadline sweep has dispatched.
+    /// Tasks re-dispatched while their slot lived: lost-frame resends
+    /// plus the deadline sweep's speculative re-executions.
     pub fn tasks_retried(&self) -> u64 {
         self.shared.metrics.tasks_retried.load(Ordering::SeqCst)
     }
@@ -2284,6 +2471,137 @@ impl<In, Out> Drop for RemoteWorkerPool<In, Out> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // -- lost-frame bookkeeping (send order) ----------------------------
+
+    fn slot() -> SlotShared {
+        SlotShared::new(0, Endpoint::plain("127.0.0.1:1"), None)
+    }
+
+    fn tasks(seqs: &[u64]) -> Vec<Task<Vec<u8>>> {
+        seqs.iter()
+            .map(|&seq| Task {
+                seq,
+                item: seq.to_le_bytes().to_vec(),
+            })
+            .collect()
+    }
+
+    fn seqs(tasks: &[Task<Vec<u8>>]) -> Vec<u64> {
+        tasks.iter().map(|t| t.seq).collect()
+    }
+
+    /// Sends `seqs` on `slot`; returns the ones that went on the wire.
+    fn send(slot: &SlotShared, seqs_in: &[u64]) -> Vec<u64> {
+        let mut batch = tasks(seqs_in);
+        assert!(slot.record_batch(&mut batch));
+        assert_counted(slot);
+        seqs(&batch)
+    }
+
+    /// Answers `seq` on `slot`: whether it was claimed, and what the
+    /// answer order proved lost.
+    fn answer(slot: &SlotShared, seq: u64) -> (bool, Vec<u64>) {
+        let mut lost = Vec::new();
+        let claimed = slot.with_inflight(|f| f.claim(seq, &mut lost)).is_some();
+        assert_counted(slot);
+        (claimed, seqs(&lost))
+    }
+
+    fn assert_counted(slot: &SlotShared) {
+        assert_eq!(
+            slot.inflight_count.load(Ordering::SeqCst),
+            slot.inflight.lock().tasks.len(),
+            "inflight_count must mirror the in-flight map"
+        );
+    }
+
+    #[test]
+    fn answer_resends_only_what_was_sent_before_it() {
+        let s = slot();
+        assert_eq!(send(&s, &[4, 5, 6, 7, 8]), vec![4, 5, 6, 7, 8]);
+        assert_eq!(answer(&s, 4), (true, vec![]));
+        // 5 and 6 never came back: the answer for 7 proves them lost.
+        assert_eq!(answer(&s, 7), (true, vec![5, 6]));
+        assert_eq!(answer(&s, 8), (true, vec![]));
+        assert!(s.inflight.lock().order.is_empty());
+    }
+
+    #[test]
+    fn recovered_seq_back_on_its_slot_declares_no_innocent_lost() {
+        // A replay routes seq 10 back onto the slot that still holds its
+        // first copy: it stays recorded once, is not sent twice, and the
+        // daemon's in-order answers prove nothing lost.
+        let s = slot();
+        assert_eq!(send(&s, &[10, 11]), vec![10, 11]);
+        assert_eq!(send(&s, &[10, 12]), vec![12]);
+        for seq in [10, 11, 12] {
+            assert_eq!(answer(&s, seq), (true, vec![]), "answer {seq}");
+        }
+
+        // A seq recorded again after its first copy was stripped gets a
+        // new ordinal: the stale pair is not mistaken for the live copy.
+        // (The pool never re-sends a stripped seq, which was resolved.)
+        let s = slot();
+        send(&s, &[5, 6]);
+        s.strip(5);
+        assert_counted(&s);
+        send(&s, &[5, 7]);
+        assert_eq!(answer(&s, 6), (true, vec![]));
+        assert_eq!(answer(&s, 5), (true, vec![]));
+        assert_eq!(answer(&s, 7), (true, vec![]));
+    }
+
+    #[test]
+    fn unclaimed_answers_trigger_no_gap_processing() {
+        let s = slot();
+        send(&s, &[0, 1, 2, 3]);
+        // A speculative copy won elsewhere: this slot's copy is stripped
+        // and its late answer is unclaimed.
+        s.strip(2);
+        assert_eq!(answer(&s, 2), (false, vec![]));
+        assert_eq!(answer(&s, 0), (true, vec![]));
+        // A duplicated answer is unclaimed too.
+        assert_eq!(answer(&s, 0), (false, vec![]));
+        // Neither moved anything: 1 and 3 are still awaited.
+        assert_eq!(answer(&s, 1), (true, vec![]));
+        assert_eq!(answer(&s, 3), (true, vec![]));
+    }
+
+    #[test]
+    fn heartbeat_ack_marks_the_tail_sent_before_its_ping() {
+        let s = slot();
+        send(&s, &[0, 1, 2]);
+        s.record_ping(40);
+        s.record_ping(41);
+        send(&s, &[3, 4]);
+        assert_eq!(answer(&s, 1), (true, vec![0]));
+        // Ping 40's ack was lost; 41's arrives and drops it.
+        let ping = s.take_ping(41).expect("ping 41 outstanding");
+        assert!(s.take_ping(40).is_none());
+        assert_eq!(ping.ordinal, 3);
+        let mut lost = Vec::new();
+        s.with_inflight(|f| f.lost_before(ping.ordinal, &mut lost));
+        assert_counted(&s);
+        // Task 2 was sent before the ping and is gone; 3 and 4 were
+        // sent after it and are still awaited.
+        assert_eq!(seqs(&lost), vec![2]);
+        assert_eq!(answer(&s, 3), (true, vec![]));
+        assert_eq!(answer(&s, 4), (true, vec![]));
+    }
+
+    #[test]
+    fn dead_slot_records_nothing_and_harvest_empties_the_order() {
+        let s = slot();
+        send(&s, &[0, 1]);
+        assert_eq!(seqs(&s.with_inflight(Inflight::take_all)), vec![0, 1]);
+        assert_counted(&s);
+        assert!(s.inflight.lock().order.is_empty());
+        s.dead.store(true, Ordering::SeqCst);
+        let mut batch = tasks(&[2]);
+        assert!(!s.record_batch(&mut batch));
+        assert_counted(&s);
+    }
 
     #[test]
     fn budget_and_hedge_config_sanitize() {

@@ -28,6 +28,13 @@
 //!   [`ProtoError::Oversized`]; resynchronising past it is hopeless
 //!   (the stream position is ambiguous), so callers must drop the
 //!   connection.
+//!
+//! **Ordering.** On one connection a daemon answers `Task` frames with
+//! `Result`/`Lost` frames in arrival order. A `HeartbeatAck` is written
+//! after every answer written before its ping was read, and its
+//! [`SensorBlob::queue_depth`] counts the tasks received but not yet
+//! answered. The pool infers lost frames from exactly this (see
+//! [`crate::daemon`]), so no frame carries a loss report of its own.
 
 use bskel_monitor::Welford;
 
@@ -355,7 +362,7 @@ pub struct SensorBlob {
     /// Cumulative service-time statistic, daemon-measured (pure compute
     /// time: the network is excluded by construction).
     pub service: Welford,
-    /// Tasks received but not yet computed at the daemon.
+    /// Tasks received but not yet answered at the daemon.
     pub queue_depth: u32,
     /// Cumulative tasks completed by this slot.
     pub done: u64,

@@ -290,6 +290,142 @@ fn soak_disconnect_midstream() {
     assert!(log.iter().any(|f| f.kind == FaultKind::Disconnect));
 }
 
+// -- lost frames on a live slot ------------------------------------------
+//
+// The daemon answers a connection's tasks in arrival order, so the pool
+// spots a lost `Task` or answer frame from the answers around it (or
+// from a heartbeat ack) and resends at once: none of these recoveries
+// waits on a task deadline, and a single slot recovers too.
+
+/// Longest wait for any one result before a test declares the stream
+/// stalled (instead of hanging).
+const STALL: Duration = Duration::from_secs(10);
+
+/// Receives the next item, panicking with progress if none comes.
+fn next_item(rx: &crossbeam::channel::Receiver<StreamMsg<u64>>, got: usize, n: u64) -> u64 {
+    match rx.recv_timeout(STALL) {
+        Ok(StreamMsg::Item { payload, .. }) => payload,
+        Ok(StreamMsg::End) => panic!("stream ended after {got} of {n} results"),
+        Err(_) => panic!("stalled at {got} of {n} results"),
+    }
+}
+
+/// Sends `0..n` and `End`, then receives every result within [`STALL`]
+/// of the previous one.
+fn run_stream_bounded(pool: &RemoteWorkerPool<u64, u64>, n: u64) -> Vec<u64> {
+    let tx = pool.input();
+    for i in 0..n {
+        tx.send(StreamMsg::item(i, i)).unwrap();
+    }
+    tx.send(StreamMsg::End).unwrap();
+    let rx = pool.output();
+    let got: Vec<u64> = (0..n).map(|i| next_item(&rx, i as usize, n)).collect();
+    assert!(
+        matches!(rx.recv_timeout(STALL), Ok(StreamMsg::End)),
+        "the stream must end after its last result"
+    );
+    got
+}
+
+/// One slot behind a chaos proxy, with the soak topology's timings and
+/// task deadline (which cannot speculate with a single slot).
+fn single_slot_pool(plan: ChaosPlan) -> (RemoteWorkerPool<u64, u64>, ChaosProxy) {
+    let seed = plan.seed;
+    let proxy = spawn_chaos_local(plan).expect("spawn chaos proxy + daemon");
+    let pool = RemotePoolBuilder::new("double", enc, dec)
+        .name("single")
+        .initial_workers(1)
+        .max_workers(1)
+        .gather(GatherPolicy::Ordered)
+        .heartbeat_period(Duration::from_millis(20))
+        .failure_timeout(Duration::from_millis(400))
+        .task_deadline(Duration::from_millis(150))
+        .resilience_seed(seed)
+        .endpoint(Endpoint::plain(proxy.addr().to_string()))
+        .build()
+        .expect("proxy reachable");
+    (pool, proxy)
+}
+
+#[test]
+fn single_slot_recovers_dropped_frames() {
+    // No second slot to speculate onto: the answer order alone must find
+    // every dropped Task/Result frame.
+    let plan = ChaosPlan {
+        seed: 0xD1,
+        policy: ChaosPolicy {
+            drop_p: 0.04,
+            ..ChaosPolicy::default()
+        },
+    };
+    let (pool, proxy) = single_slot_pool(plan);
+    let got = run_stream_bounded(&pool, 800);
+    assert_eq!(got, (0..800u64).map(|x| x * 2).collect::<Vec<_>>());
+    assert!(proxy.log().iter().any(|f| f.kind == FaultKind::Drop));
+    assert!(pool.tasks_retried() > 0, "drops must be resent");
+    assert_clean_or_explained(&pool.shutdown());
+}
+
+#[test]
+fn single_slot_one_at_a_time_recovers_via_heartbeat_ack() {
+    // One task in flight at a time: a lost task has no later answer to
+    // expose it, so only a heartbeat ack reporting an empty daemon
+    // queue can.
+    const N: u64 = 200;
+    let plan = ChaosPlan {
+        seed: 0x7A11,
+        policy: ChaosPolicy {
+            drop_p: 0.10,
+            ..ChaosPolicy::default()
+        },
+    };
+    let (pool, proxy) = single_slot_pool(plan);
+    let (tx, rx) = (pool.input(), pool.output());
+    for i in 0..N {
+        tx.send(StreamMsg::item(i, i)).unwrap();
+        assert_eq!(next_item(&rx, i as usize, N), i * 2);
+    }
+    tx.send(StreamMsg::End).unwrap();
+    assert!(matches!(rx.recv_timeout(STALL), Ok(StreamMsg::End)));
+    assert!(proxy.log().iter().any(|f| f.kind == FaultKind::Drop));
+    assert!(pool.tasks_retried() > 0, "drops must be resent");
+    assert_clean_or_explained(&pool.shutdown());
+}
+
+/// The two-slot soak under `policy` with a task deadline far beyond the
+/// run: must finish within 5 s, so recovery cannot be the deadline's.
+fn recovers_without_the_deadline(seed: u64, policy: ChaosPolicy, kind: FaultKind) {
+    let (pool, proxy) = chaos_pool(ChaosPlan { seed, policy }, Duration::from_secs(60));
+    let t0 = Instant::now();
+    let got = run_stream_bounded(&pool, 800);
+    let took = t0.elapsed();
+    assert_eq!(got, (0..800u64).map(|x| x * 2).collect::<Vec<_>>());
+    assert!(proxy.log().iter().any(|f| f.kind == kind));
+    assert!(
+        took < Duration::from_secs(5),
+        "{kind:?} recovery took {took:?}: it waited on the deadline"
+    );
+    assert_clean_or_explained(&pool.shutdown());
+}
+
+#[test]
+fn drop_recovery_does_not_wait_for_the_task_deadline() {
+    let policy = ChaosPolicy {
+        drop_p: 0.04,
+        ..ChaosPolicy::default()
+    };
+    recovers_without_the_deadline(0xD1, policy, FaultKind::Drop);
+}
+
+#[test]
+fn corrupt_recovery_does_not_wait_for_the_task_deadline() {
+    let policy = ChaosPolicy {
+        corrupt_p: 0.04,
+        ..ChaosPolicy::default()
+    };
+    recovers_without_the_deadline(0xC2, policy, FaultKind::Corrupt);
+}
+
 // -- recovery, quarantine, determinism ----------------------------------
 
 /// A single flaky endpoint that disconnects mid-stream *and* refuses the

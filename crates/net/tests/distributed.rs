@@ -6,11 +6,12 @@
 //! (running the unchanged FT rule program) senses the loss through the
 //! `workersLost` bean and restores the pool; the heartbeat deadline
 //! detects a peer that is connected but silent; the secure channel
-//! roundtrips and meters its cost; and remote elasticity + sensor
-//! plumbing work through the ordinary `FarmControl` surface.
+//! roundtrips and meters its cost; remote elasticity + sensor plumbing
+//! work through the ordinary `FarmControl` surface; and a daemon keeps
+//! the answer-order contract the pool's lost-frame resend relies on.
 
 use std::io::BufRead;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,8 +20,10 @@ use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
 use bskel_core::manager::{AutonomicManager, ManagerConfig};
 use bskel_monitor::{Clock, ManualClock, RealClock};
-use bskel_net::proto::{decode_hello, encode_hello_ack, FrameType, HelloAck};
-use bskel_net::wire::{FrameReader, FrameWriter};
+use bskel_net::proto::{
+    decode_hello, decode_sensors, encode_hello, encode_hello_ack, Frame, FrameType, Hello, HelloAck,
+};
+use bskel_net::wire::{FillStatus, FrameReader, FrameWriter};
 use bskel_net::{spawn_local, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
 use bskel_skel::abc_impl::FarmAbc;
 use bskel_skel::farm::{FarmBuilder, FarmEventKind};
@@ -480,4 +483,93 @@ fn poisoned_task_is_not_a_departure_on_either_substrate() {
 
     assert!(farm_rate > 0.0);
     assert_eq!(farm_rate, pool_rate, "delivered results only, on both");
+}
+
+// -- the daemon's ordering contract --------------------------------------
+
+/// Next frame the daemon sent, skipping busy pulses and sensor
+/// blobs; panics after 10 s of silence.
+fn next_answer(r: &mut FrameReader) -> Frame {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match r.try_next().expect("daemon frames decode") {
+            Some(f) if matches!(f.ftype, FrameType::Heartbeat | FrameType::Sensors) => {}
+            Some(f) => return f,
+            None => match r.fill_once().expect("daemon connection readable") {
+                FillStatus::Eof => panic!("daemon closed the connection"),
+                FillStatus::Bytes => {}
+                FillStatus::WouldBlock => {
+                    assert!(Instant::now() < deadline, "daemon went silent")
+                }
+            },
+        }
+    }
+}
+
+/// The ordering contract the pool's lost-frame detection relies on:
+/// answers in arrival order (a panicking task's `Lost` included), a
+/// heartbeat ack after every answer written before it, and its
+/// queue depth counting the tasks received but not yet answered.
+#[test]
+fn answers_come_back_in_send_order_then_an_empty_queue_ack() {
+    const TASKS: u64 = 64;
+    const TRIGGER: u64 = 17;
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let stream = TcpStream::connect(addr).expect("connect daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let mut w = FrameWriter::new(stream.try_clone().expect("clone"));
+    let mut r = FrameReader::new(stream);
+    let hello = encode_hello(&Hello {
+        secure: false,
+        nonce: 1,
+        workload: format!("panic_on:{TRIGGER}"),
+    });
+    w.send(FrameType::Hello, 0, &hello).expect("hello");
+    assert_eq!(next_answer(&mut r).ftype, FrameType::HelloAck);
+
+    // Pipeline every task plus a ping in one write.
+    for i in 0..TASKS {
+        w.push(FrameType::Task, 1000 + i, &i.to_le_bytes());
+    }
+    w.push(FrameType::Heartbeat, 7, &[]);
+    w.flush().expect("pipeline");
+    let mut answers = Vec::new();
+    let mut depth_at_ack = None;
+    while answers.len() < TASKS as usize || depth_at_ack.is_none() {
+        let f = next_answer(&mut r);
+        match f.ftype {
+            FrameType::Result | FrameType::Lost => answers.push((f.seq, f.ftype)),
+            FrameType::HeartbeatAck => {
+                assert_eq!(f.seq, 7);
+                let blob = decode_sensors(&f.payload).expect("ack carries sensors");
+                depth_at_ack = Some((answers.len() as u64, blob.queue_depth));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let want: Vec<(u64, FrameType)> = (0..TASKS)
+        .map(|i| {
+            let kind = if i == TRIGGER {
+                FrameType::Lost
+            } else {
+                FrameType::Result
+            };
+            (1000 + i, kind)
+        })
+        .collect();
+    assert_eq!(answers, want, "answers must follow the send order");
+    let (answered, depth) = depth_at_ack.expect("ack seen");
+    assert_eq!(
+        answered + u64::from(depth),
+        TASKS,
+        "the ack's depth counts exactly the tasks not answered before it"
+    );
+
+    // Everything is answered now: the next ack reports an empty queue.
+    w.send(FrameType::Heartbeat, 8, &[]).expect("ping");
+    let ack = next_answer(&mut r);
+    assert_eq!((ack.ftype, ack.seq), (FrameType::HeartbeatAck, 8));
+    assert_eq!(decode_sensors(&ack.payload).map(|b| b.queue_depth), Some(0));
 }
